@@ -49,7 +49,14 @@
 // process-lifetime too: pooled machines survive between experiments and
 // repeated configurations reuse them with a Reset instead of rebuilding,
 // with the same bit-identical-results guarantee; -machine-pool=false
-// reverts to a pool per sweep.
+// reverts to a pool per sweep. Above all three sits the invocation's result
+// memo, which has no flag: a cell whose identity (workload, params, full
+// machine configuration) an earlier cell of the process already simulated
+// takes that result and simulates nothing, so the cells that fig16 and
+// fig16a-e, fig17 and fig18, or tab2 and the figures share run once per
+// invocation. Rows stay byte-identical apart from wall_ns; failed cells are
+// never memoized; the conformance oracle and the -shards determinism gate
+// always re-simulate (EXPERIMENTS.md "The result-memo contract").
 // -machine-cap / -input-cap / -snapshot-cap bound the pools with LRU
 // eviction for long-lived processes (0, the default, is unbounded);
 // -input-budget / -snapshot-budget bound them in bytes instead (estimated
@@ -64,9 +71,10 @@
 //
 // Every experiment also reports per-sweep host metrics (allocations, GC
 // cycles, heap high-water from runtime.ReadMemStats, and the engine's
-// lifecycle counters: machines built/reused/evicted, input-arena and
-// snapshot-arena hits/misses, copy-on-write page copies, restore skips, and
-// the shared/private page census with its sharing ratio) on stdout and,
+// lifecycle counters: result-memo hits/misses, machines
+// built/reused/evicted, input-arena and snapshot-arena hits/misses,
+// copy-on-write page copies, restore skips, and the shared/private page
+// census with its sharing ratio) on stdout and,
 // when -json is given, as a trailing {"host_metrics": ...} JSON line; the
 // line also carries the process-lifetime arenas' cumulative stats (entries,
 // logical and resident bytes — resident deduplicates pages shared between
@@ -96,11 +104,11 @@ import (
 
 // hostMetrics is the per-sweep host-side cost report: deltas of
 // runtime.MemStats across one experiment run, plus the sweep engine's
-// lifecycle counters (machines built/reused/evicted, input-arena
-// hits/misses) for the same experiment. HeapSysBytes is the OS-claimed heap
-// (HeapSys) at the end of the sweep — a process-wide high-water mark,
-// monotone across experiments, named for what it is so BENCH consumers do
-// not read it as a per-experiment peak.
+// lifecycle counters (result-memo hits/misses, machines
+// built/reused/evicted, input-arena hits/misses) for the same experiment.
+// HeapSysBytes is the OS-claimed heap (HeapSys) at the end of the sweep —
+// a process-wide high-water mark, monotone across experiments, named for
+// what it is so BENCH consumers do not read it as a per-experiment peak.
 type hostMetrics struct {
 	Exp          string           `json:"exp"`
 	WallMS       int64            `json:"wall_ms"`
@@ -277,6 +285,10 @@ func main() {
 		opts.MachinePool = sweep.NewMachinePool(*mCap)
 		defer opts.MachinePool.Close()
 	}
+	// The invocation's result memo: a cell several figures and tables show
+	// (fig16 and fig16a-e, fig17 and fig18, tab2) simulates once. The
+	// conformance oracle never sees it (Options.Oracle drops it).
+	opts.Memo = &sweep.Memo{}
 	opts.DetSample = *detSmp
 	opts.DetSampleSeed = *detSeed
 	if *threads != "" {
@@ -335,8 +347,8 @@ func main() {
 		fmt.Printf("host: allocs=%d alloc_bytes=%d gc_cycles=%d heap_sys_bytes=%d\n",
 			hm.Allocs, hm.AllocBytes, hm.GCCycles, hm.HeapSysBytes)
 		lc := hm.Lifecycle
-		fmt.Printf("lifecycle: machines_built=%d machine_reuses=%d machines_evicted=%d input_hits=%d input_misses=%d input_evictions=%d snapshot_hits=%d snapshot_misses=%d snapshot_evictions=%d snapshot_bytes=%d snapshot_base_hits=%d snapshot_base_misses=%d\n",
-			lc.MachinesBuilt, lc.MachineReuses, lc.MachinesEvicted, lc.InputHits, lc.InputMisses, lc.InputEvictions,
+		fmt.Printf("lifecycle: memo_hits=%d memo_misses=%d machines_built=%d machine_reuses=%d machines_evicted=%d input_hits=%d input_misses=%d input_evictions=%d snapshot_hits=%d snapshot_misses=%d snapshot_evictions=%d snapshot_bytes=%d snapshot_base_hits=%d snapshot_base_misses=%d\n",
+			lc.MemoHits, lc.MemoMisses, lc.MachinesBuilt, lc.MachineReuses, lc.MachinesEvicted, lc.InputHits, lc.InputMisses, lc.InputEvictions,
 			lc.SnapshotHits, lc.SnapshotMisses, lc.SnapshotEvictions, lc.SnapshotBytes,
 			lc.SnapshotBaseHits, lc.SnapshotBaseMisses)
 		// The copy-on-write line: page copies triggered by first writes to

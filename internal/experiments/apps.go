@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"commtm"
 	"commtm/internal/harness"
+	"commtm/internal/sweep"
 	"commtm/internal/workloads/apps"
 	"commtm/internal/workloads/micro"
 )
@@ -178,15 +178,20 @@ func tableII(o harness.Options) (string, error) {
 	}
 	th := breakThreads(o)
 	threads := th[len(th)-1]
+	wl := appWorkloads(o)
+	var cells []sweep.Cell
+	for _, name := range appOrder {
+		cells = append(cells, statsCell(len(cells), wl[name], harness.VarCommTM, threads, o))
+	}
+	rs, err := runStats(cells, o)
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "# tab2: Table II — benchmark characteristics (measured at %d threads, CommTM)\n", threads)
 	fmt.Fprintf(&b, "%-10s %-12s %-14s %s\n", "app", "uses gather", "labeled frac", "commutative operations")
-	wl := appWorkloads(o)
-	for _, name := range appOrder {
-		st, err := harness.RunOne(wl[name], harness.VarCommTM, threads, o.Seed)
-		if err != nil {
-			return "", err
-		}
+	for i, name := range appOrder {
+		st := rs[i].Stats
 		gather := "no"
 		if st.Gathers > 0 {
 			gather = "yes"
@@ -209,22 +214,44 @@ func ablationGather(o harness.Options) (string, error) {
 		apps.GenomeName:   appWorkloads(o)[apps.GenomeName],
 		apps.VacationName: appWorkloads(o)[apps.VacationName],
 	}
+	names := []string{micro.RefcountName, micro.ListMixedName, apps.GenomeName, apps.VacationName}
+	var cells []sweep.Cell
+	for _, name := range names {
+		cells = append(cells,
+			statsCell(len(cells), mks[name], harness.VarCommTM, threads, o),
+			statsCell(len(cells)+1, mks[name], harness.VarCommTMNoGather, threads, o))
+	}
+	rs, err := runStats(cells, o)
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "# ablation-gather: CommTM with vs without gather requests (%d threads)\n", threads)
 	fmt.Fprintf(&b, "%-12s %14s %14s %10s %12s %12s\n", "workload", "with (cyc)", "without (cyc)", "gain", "gathers", "reductions")
-	for _, name := range []string{micro.RefcountName, micro.ListMixedName, apps.GenomeName, apps.VacationName} {
-		with, err := harness.RunOne(mks[name], harness.VarCommTM, threads, o.Seed)
-		if err != nil {
-			return "", err
-		}
-		without, err := harness.RunOne(mks[name], harness.VarCommTMNoGather, threads, o.Seed)
-		if err != nil {
-			return "", err
-		}
+	for i, name := range names {
+		with, without := rs[2*i].Stats, rs[2*i+1].Stats
 		fmt.Fprintf(&b, "%-12s %14d %14d %9.2fx %12d %12d\n",
 			name, with.Cycles, without.Cycles,
 			float64(without.Cycles)/float64(with.Cycles), with.Gathers, without.Reductions)
 	}
-	_ = commtm.CommTM
 	return b.String(), nil
+}
+
+// statsCell is one cell of a Stats-only table.
+func statsCell(i int, ws harness.Spec, v harness.Variant, threads int, o harness.Options) sweep.Cell {
+	return sweep.Cell{Index: i, Workload: ws.Name, Variant: v, Threads: threads, Seed: o.Seed, Mk: ws.Mk}
+}
+
+// runStats runs a Stats-only table's cells as one figure sweep with no
+// sinks: the tables read Stats and emit no rows of their own, while their
+// cells still run on all workers and share the invocation's result memo
+// with the figures that show the same runs.
+func runStats(cells []sweep.Cell, o harness.Options) (sweep.Results, error) {
+	eng := o.Engine(true)
+	eng.Sinks = nil
+	rs, err := eng.Run(cells)
+	if err != nil {
+		return nil, err
+	}
+	return rs, rs.FirstErr()
 }

@@ -67,7 +67,6 @@ func RunOne(ws Spec, v Variant, threads int, seed uint64) (commtm.Stats, error) 
 		Threads:  threads,
 		Seed:     seed,
 		Mk:       ws.Mk,
-		NoDigest: true, // RunOne returns Stats only
 	})
 	if r.Err != "" {
 		return commtm.Stats{}, fmt.Errorf("%s [%s, %d threads]: %s", ws.Name, v.Label, threads, r.Err)
@@ -373,6 +372,11 @@ type Options struct {
 	DetSampleSeed uint64
 	// Sinks receive every cell result of every sweep, in cell order.
 	Sinks []sweep.Sink
+	// Memo, when non-nil, is the result memo every figure sweep run with
+	// these options shares (sweep.Engine.Memo semantics): one commtm-bench
+	// invocation owns one, so a cell that several figures show simulates
+	// once. Oracle never passes it on — the determinism gates re-simulate.
+	Memo *sweep.Memo
 	// Metrics, when non-nil, accumulates host-side lifecycle counters
 	// (machines built/reused/evicted, input arena hits/misses) across every
 	// sweep run with these options.
@@ -396,7 +400,7 @@ func (o Options) Engine(failFast bool) *sweep.Engine {
 		Inputs: o.InputArena, Snapshots: o.SnapshotArena, Machines: o.MachinePool,
 		MachineCap: o.MachineCap, InputCap: o.InputCap, SnapshotCap: o.SnapshotCap,
 		InputBudget: o.InputBudget, SnapshotBudget: o.SnapshotBudget,
-		Metrics: o.Metrics,
+		Memo: o.Memo, Metrics: o.Metrics,
 	}
 }
 

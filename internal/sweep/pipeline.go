@@ -275,7 +275,7 @@ type ExecOptions struct {
 }
 
 // done returns the already-journaled result for c, rebound to c — the
-// plan's cell carries what JSON cannot round-trip (Mk, Protocol, NoDigest)
+// plan's cell carries what JSON cannot round-trip (Mk, Protocol)
 // — or ok=false. A journaled result whose recorded index disagrees with
 // the plan's is a foreign or stale journal; re-running the cell is the
 // safe answer, so it reports ok=false too.

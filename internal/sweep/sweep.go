@@ -22,6 +22,10 @@
 // and the differential conformance oracle in oracle.go both run on top of
 // this engine.
 //
+// A result memo (memo.go, Engine.Memo) lets one process simulate each
+// distinct cell identity once across all its runs; the determinism gates
+// never carry one.
+//
 // The engine's control flow is a staged pipeline — expand → plan → execute
 // → journal → merge → emit. Matrix.Cells is the expand stage; this file
 // holds the execute stage's cell runner and worker pool, sched.go its
@@ -147,9 +151,6 @@ type Cell struct {
 	Geometry Geometry `json:"geometry,omitzero"`
 
 	Mk func() Workload `json:"-"`
-	// NoDigest skips the final-state digest (a full walk of simulated
-	// memory) for callers that only want Stats.
-	NoDigest bool `json:"-"`
 }
 
 // Config builds the machine configuration of the cell.
@@ -208,7 +209,7 @@ func (rs Results) FirstErr() error {
 // cell cannot take down a whole sweep. Engine workers run cells through a
 // machine arena instead; RunCell is the construct-per-call path for
 // single-cell callers (harness.RunOne, tests).
-func RunCell(c Cell) Result { return runCell(c, nil, nil, nil, nil) }
+func RunCell(c Cell) Result { return runCell(c, nil, nil, nil, nil, nil) }
 
 // RunMetrics accumulates host-side lifecycle counters across engine runs:
 // how many machines were built versus Reset-reused (the duplicate-machine
@@ -219,6 +220,12 @@ func RunCell(c Cell) Result { return runCell(c, nil, nil, nil, nil) }
 // engine runs accumulates totals — cmd/commtm-bench reports it per
 // experiment in its host-metrics line.
 type RunMetrics struct {
+	// Result-memo counters (Engine.Memo): a hit is a cell that took another
+	// cell's memoized result and simulated nothing; a miss is a cell that
+	// consulted the memo and simulated. Cells the memo cannot key (no
+	// canonical params) and memo-less runs count as neither.
+	MemoHits        int64 `json:"memo_hits"`
+	MemoMisses      int64 `json:"memo_misses"`
 	MachinesBuilt   int64 `json:"machines_built"`
 	MachineReuses   int64 `json:"machine_reuses"`
 	MachinesEvicted int64 `json:"machines_evicted"`
@@ -277,6 +284,16 @@ func (rm *RunMetrics) add(built, reuses, evicted int64) {
 	atomic.AddInt64(&rm.MachinesBuilt, built)
 	atomic.AddInt64(&rm.MachineReuses, reuses)
 	atomic.AddInt64(&rm.MachinesEvicted, evicted)
+}
+
+// addMemo accumulates (atomically) result-memo hits and misses into rm;
+// nil-safe.
+func (rm *RunMetrics) addMemo(hits, misses int64) {
+	if rm == nil {
+		return
+	}
+	atomic.AddInt64(&rm.MemoHits, hits)
+	atomic.AddInt64(&rm.MemoMisses, misses)
 }
 
 // addMachines folds a machine pool's per-run stat deltas into rm: misses
@@ -501,10 +518,13 @@ func (wm *workerMachines) has(k commtm.Config) bool {
 // always fresh), handing the input arena (nil = generate fresh) to
 // workloads that can replay cached inputs and the snapshot arena (nil =
 // always Setup) to workloads that can skip Setup via machine-image restore.
-// Machine acquisition happens inside the recover window so
-// construction-time panics (invalid configurations) are captured like any
-// other cell failure.
-func runCell(c Cell, wm *workerMachines, ia *inputs.Arena, sa *snapshots.Arena, rm *RunMetrics) (res Result) {
+// With a result memo (nil = always simulate), a cell whose identity another
+// cell already simulated skips everything after the name check — acquire,
+// Setup, Run, Validate and digest — and takes the memoized Stats and digest
+// under its own Index and Variant. Machine acquisition happens inside the
+// recover window so construction-time panics (invalid configurations) are
+// captured like any other cell failure.
+func runCell(c Cell, wm *workerMachines, ia *inputs.Arena, sa *snapshots.Arena, memo *Memo, rm *RunMetrics) (res Result) {
 	start := time.Now()
 	res = Result{Cell: c}
 	var m *commtm.Machine
@@ -513,7 +533,9 @@ func runCell(c Cell, wm *workerMachines, ia *inputs.Arena, sa *snapshots.Arena, 
 		res.WallNS = time.Since(start).Nanoseconds()
 		rm.addCellWall(res.WallNS)
 		if r := recover(); r != nil {
-			res.Err = fmt.Sprintf("panic: %v", r)
+			if _, ok := r.(uncached); !ok {
+				res.Err = fmt.Sprintf("panic: %v", r)
+			}
 		}
 		if m != nil && rm != nil {
 			shared, private := m.PageStats()
@@ -543,94 +565,94 @@ func runCell(c Cell, wm *workerMachines, ia *inputs.Arena, sa *snapshots.Arena, 
 		res.Err = fmt.Sprintf("workload name mismatch: cell %q, instance %q", c.Workload, w.Name())
 		return res
 	}
-	if u, ok := w.(inputs.User); ok && ia != nil {
-		u.UseInputs(ia)
-	}
-	var reused bool
-	m, reused = wm.acquire(c)
-	cowBefore, skipsBefore = m.CowCopies(), m.RestoreSkips()
-	if wm == nil {
-		rm.add(1, 0, 0) // pooled builds are counted from the pool's stat deltas
-	}
-	// A freshly built machine is already pristine at c's seed; a reused one
-	// still holds the previous cell's state and must be ResetSeed — but only
-	// on paths that will run Setup. On a snapshot hit, Machine.Restore does
-	// its own full ResetSeed before the page copies, so resetting at acquire
-	// (as the old arena did unconditionally) reset the machine twice per
-	// hit; the reset is deferred to the paths that need it instead.
-	pristine := !reused
-	ensurePristine := func() {
-		if !pristine {
-			m.ResetSeed(c.Seed)
-			pristine = true
+	simulate := func() {
+		if u, ok := w.(inputs.User); ok && ia != nil {
+			u.UseInputs(ia)
 		}
-	}
-	installed := false
-	if sa != nil {
-		if sn, ok := w.(snapshots.Snapshotter); ok {
-			if params, compatible := sn.SnapshotParams(); compatible {
-				// The snapshot key is the workload identity plus the
-				// configuration modulo seed and protocol variant: two cells
-				// with equal keys produce bit-identical post-Setup state, so
-				// one captured image serves every variant of a configuration.
-				key := snapshots.Key{Workload: w.Name(), Params: params, Seed: c.Seed, Config: snapshotKey(c)}
-				// On a miss this caller's Setup runs (on its own machine,
-				// reset first if reused) and the captured image is published;
-				// on a hit the cached image is copied over the machine by
-				// Restore — whose internal ResetSeed is the hit path's one and
-				// only reset — and the host state adopted, skipping Setup.
-				var ent snapshots.Entry
-				var hit bool
-				if ti, isTI := w.(snapshots.ThreadInvariant); isTI && ti.SnapshotThreadInvariant() {
-					// Thread-invariant workloads split the snapshot: the base
-					// (pages, brk, labels) is keyed with the thread count
-					// erased too, so the first geometry's Setup serves the
-					// whole thread sweep — later geometries adopt the base via
-					// RestoreBase (its ResetSeed is that path's one reset) and
-					// only capture their thin full-key entry on top.
-					bkey := key
-					bkey.Config.Threads = 0
-					ent, hit = sa.LoadSplit(key, bkey,
-						func() {
-							ensurePristine()
-							w.Setup(m)
-						},
-						func(be snapshots.BaseEntry) {
-							m.RestoreBase(be.Img, c.Seed)
-							ti.AdoptBaseHost(m, be.Host)
-						},
-						func() snapshots.BaseEntry {
-							return snapshots.BaseEntry{Img: m.SnapshotBase(), Host: sn.SnapshotHost()}
-						},
-						func() snapshots.Entry {
-							return snapshots.Entry{Img: m.Snapshot(), Host: sn.SnapshotHost()}
-						})
-				} else {
-					ent, hit = sa.Load(key, func() snapshots.Entry {
-						ensurePristine()
-						w.Setup(m)
-						return snapshots.Entry{Img: m.Snapshot(), Host: sn.SnapshotHost()}
-					})
-				}
-				if hit {
-					m.Restore(ent.Img)
-					sn.AdoptHost(m, ent.Host)
-				}
-				installed = true
+		var reused bool
+		m, reused = wm.acquire(c)
+		cowBefore, skipsBefore = m.CowCopies(), m.RestoreSkips()
+		if wm == nil {
+			rm.add(1, 0, 0) // pooled builds are counted from the pool's stat deltas
+		}
+		// A freshly built machine is already pristine at c's seed; a reused one
+		// still holds the previous cell's state and must be ResetSeed — but only
+		// on paths that will run Setup. On a snapshot hit, Machine.Restore does
+		// its own full ResetSeed before the page copies, so resetting at acquire
+		// (as the old arena did unconditionally) reset the machine twice per
+		// hit; the reset is deferred to the paths that need it instead.
+		pristine := !reused
+		ensurePristine := func() {
+			if !pristine {
+				m.ResetSeed(c.Seed)
+				pristine = true
 			}
 		}
-	}
-	if !installed {
-		ensurePristine()
-		w.Setup(m)
-	}
-	m.Run(w.Body)
-	res.Stats = m.Stats()
-	if err := w.Validate(m); err != nil {
-		res.Err = err.Error()
-		return res
-	}
-	if !c.NoDigest {
+		installed := false
+		if sa != nil {
+			if sn, ok := w.(snapshots.Snapshotter); ok {
+				if params, compatible := sn.SnapshotParams(); compatible {
+					// The snapshot key is the workload identity plus the
+					// configuration modulo seed and protocol variant: two cells
+					// with equal keys produce bit-identical post-Setup state, so
+					// one captured image serves every variant of a configuration.
+					key := snapshots.Key{Workload: w.Name(), Params: params, Seed: c.Seed, Config: snapshotKey(c)}
+					// On a miss this caller's Setup runs (on its own machine,
+					// reset first if reused) and the captured image is published;
+					// on a hit the cached image is copied over the machine by
+					// Restore — whose internal ResetSeed is the hit path's one and
+					// only reset — and the host state adopted, skipping Setup.
+					var ent snapshots.Entry
+					var hit bool
+					if ti, isTI := w.(snapshots.ThreadInvariant); isTI && ti.SnapshotThreadInvariant() {
+						// Thread-invariant workloads split the snapshot: the base
+						// (pages, brk, labels) is keyed with the thread count
+						// erased too, so the first geometry's Setup serves the
+						// whole thread sweep — later geometries adopt the base via
+						// RestoreBase (its ResetSeed is that path's one reset) and
+						// only capture their thin full-key entry on top.
+						bkey := key
+						bkey.Config.Threads = 0
+						ent, hit = sa.LoadSplit(key, bkey,
+							func() {
+								ensurePristine()
+								w.Setup(m)
+							},
+							func(be snapshots.BaseEntry) {
+								m.RestoreBase(be.Img, c.Seed)
+								ti.AdoptBaseHost(m, be.Host)
+							},
+							func() snapshots.BaseEntry {
+								return snapshots.BaseEntry{Img: m.SnapshotBase(), Host: sn.SnapshotHost()}
+							},
+							func() snapshots.Entry {
+								return snapshots.Entry{Img: m.Snapshot(), Host: sn.SnapshotHost()}
+							})
+					} else {
+						ent, hit = sa.Load(key, func() snapshots.Entry {
+							ensurePristine()
+							w.Setup(m)
+							return snapshots.Entry{Img: m.Snapshot(), Host: sn.SnapshotHost()}
+						})
+					}
+					if hit {
+						m.Restore(ent.Img)
+						sn.AdoptHost(m, ent.Host)
+					}
+					installed = true
+				}
+			}
+		}
+		if !installed {
+			ensurePristine()
+			w.Setup(m)
+		}
+		m.Run(w.Body)
+		res.Stats = m.Stats()
+		if err := w.Validate(m); err != nil {
+			res.Err = err.Error()
+			return
+		}
 		var d uint64
 		if dg, ok := w.(Digester); ok {
 			d = dg.DigestState(m)
@@ -638,6 +660,23 @@ func runCell(c Cell, wm *workerMachines, ia *inputs.Arena, sa *snapshots.Arena, 
 			d = m.MemDigest()
 		}
 		res.Digest = fmt.Sprintf("%016x", d)
+	}
+	key, ok := memo.keyOf(c, w)
+	if !ok {
+		simulate()
+		return res
+	}
+	ent, hit := memo.c.Load(key, func() memoEntry {
+		rm.addMemo(0, 1)
+		simulate()
+		if res.Err != "" {
+			panic(uncached{}) // never cache a failure; see uncached
+		}
+		return memoEntry{stats: res.Stats, digest: res.Digest}
+	})
+	if hit {
+		rm.addMemo(1, 0)
+		res.Stats, res.Digest = ent.stats, ent.digest
 	}
 	return res
 }
@@ -763,6 +802,12 @@ type Engine struct {
 	// run to megabytes each, so an entry cap either admits too much memory
 	// or thrashes; a budget sizes the arena by true footprint.
 	SnapshotBudget int
+	// Memo, when non-nil, is a result memo shared across runs: a cell
+	// whose identity (workload, params, full machine configuration) some
+	// cell already simulated takes that result instead of simulating, and
+	// is emitted in order like any other. Engines built by the determinism
+	// gates never carry one, so they always re-simulate.
+	Memo *Memo
 	// Metrics, when non-nil, accumulates host-side lifecycle counters
 	// (machines built/reused/evicted, input arena hits/misses) across this
 	// engine's runs. Counters add up across runs sharing one RunMetrics.
@@ -861,7 +906,7 @@ func (e *Engine) run(cells []Cell, x ExecOptions) (Results, error) {
 					em.put(i, Result{Cell: cells[i], Err: "skipped: earlier cell failed"})
 					continue
 				}
-				r := runCell(cells[i], wm, ia, sa, e.Metrics)
+				r := runCell(cells[i], wm, ia, sa, e.Memo, e.Metrics)
 				if r.Err != "" {
 					failed.Store(true)
 				}

@@ -189,7 +189,7 @@ func TestArenaReusesAndDrops(t *testing.T) {
 		t.Fatal("first acquire of a configuration reported reuse")
 	}
 	wm.release(c1)
-	r := runCell(c2, wm, nil, nil, nil)
+	r := runCell(c2, wm, nil, nil, nil, nil)
 	if r.Err != "" {
 		t.Fatalf("reused-machine cell failed: %s", r.Err)
 	}
@@ -201,14 +201,14 @@ func TestArenaReusesAndDrops(t *testing.T) {
 	// A panicking cell must evict its machine from the pool.
 	boom := c1
 	boom.Mk = func() Workload { return &panicWorkload{addWorkload{ops: 1}} }
-	if r := runCell(boom, wm, nil, nil, nil); !strings.Contains(r.Err, "boom") {
+	if r := runCell(boom, wm, nil, nil, nil, nil); !strings.Contains(r.Err, "boom") {
 		t.Fatalf("panic not captured: %q", r.Err)
 	}
 	if wm.has(arenaKey(boom)) {
 		t.Fatal("failed cell's machine still pooled")
 	}
 	// And the next cell of that configuration runs on a fresh machine.
-	if r := runCell(c1, wm, nil, nil, nil); r.Err != "" {
+	if r := runCell(c1, wm, nil, nil, nil, nil); r.Err != "" {
 		t.Fatalf("cell after dropped machine failed: %s", r.Err)
 	}
 	// A failure before the machine is acquired (workload constructor panic)
@@ -220,7 +220,7 @@ func TestArenaReusesAndDrops(t *testing.T) {
 	wm.release(c1)
 	mkBoom := c1
 	mkBoom.Mk = func() Workload { panic("constructor boom") }
-	if r := runCell(mkBoom, wm, nil, nil, nil); !strings.Contains(r.Err, "constructor boom") {
+	if r := runCell(mkBoom, wm, nil, nil, nil, nil); !strings.Contains(r.Err, "constructor boom") {
 		t.Fatalf("constructor panic not captured: %q", r.Err)
 	}
 	m4, reused := wm.acquire(c1)
@@ -928,7 +928,7 @@ func TestSnapshotHitResetsOnce(t *testing.T) {
 		m, _ := wm.acquire(c)
 		before := m.ResetCount()
 		wm.release(c)
-		r := runCell(c, wm, nil, sa, nil)
+		r := runCell(c, wm, nil, sa, nil, nil)
 		if r.Err != "" {
 			t.Fatalf("cell failed: %s", r.Err)
 		}
@@ -979,7 +979,7 @@ func TestSnapshotHitResetsOnce(t *testing.T) {
 	fresh := NewMachinePool(0)
 	defer fresh.Close()
 	wmf := &workerMachines{pool: fresh, w: 0}
-	if r := runCell(c, wmf, nil, nil, nil); r.Err != "" {
+	if r := runCell(c, wmf, nil, nil, nil, nil); r.Err != "" {
 		t.Fatalf("fresh-machine cell failed: %s", r.Err)
 	}
 	m, _ := wmf.acquire(c)

@@ -43,9 +43,13 @@ import (
 // SnapshotParams, which opts every cell of the workload out of snapshotting.
 type Snapshotter interface {
 	// SnapshotParams returns the canonical encoding of every constructor
-	// parameter Setup reads (workload-private seeds included), and whether
-	// this instance is snapshot-compatible at all. It is called before
-	// Setup, so it may read only constructor-set fields.
+	// parameter the run reads, in Setup or Body (workload-private seeds
+	// included), and whether this instance is snapshot-compatible at all.
+	// Two instances with different constructor arguments must never return
+	// the same params: besides keying snapshot images, the string keys the
+	// sweep engine's result memo, where a collision would hand one run's
+	// result to another. It is called before Setup, so it may read only
+	// constructor-set fields.
 	SnapshotParams() (params string, ok bool)
 	// SnapshotHost returns the host-side state Setup computed — label ids,
 	// base addresses, references to immutable cached inputs — to be cached
