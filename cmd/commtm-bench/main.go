@@ -10,24 +10,9 @@
 //	commtm-bench -exp fig9 -parallel 0 -json results.jsonl -csv results.csv
 //	commtm-bench -oracle -parallel 0
 //	commtm-bench -oracle -parallel 0 -det-sample 0.25 -reuse=false -input-arena=false
-//	commtm-bench -sweep golden -parallel 0 -json merged.jsonl
-//	commtm-bench -sweep golden -shard-dir run1 -json out.jsonl     # journaled; re-run to resume
-//	commtm-bench -sweep golden -shards 2 -shard-dir run2 -json merged.jsonl
-//	commtm-bench -sweep golden -shard 0/4 -shard-dir run3          # one worker process
 //
-// -sweep runs a registered job matrix (use -list to enumerate) through the
-// staged pipeline — expand → plan → execute → journal → merge → emit. With
-// -shard-dir the run journals each completed cell and a re-run resumes,
-// skipping journaled cells. -shards N is coordinator mode: it forks N
-// -shard worker processes over the same matrix (each journaling its own
-// shard under -shard-dir), waits, merges the journals back into
-// deterministic cell order through the -json/-csv sinks, and re-runs a
-// -shard-check fraction of the merged cells locally as the cross-shard
-// determinism gate. Workers killed mid-run (even SIGKILL, mid-append) are
-// resumed by re-running the same coordinator command; merged output is
-// byte-identical to a single-process -sweep run of the same matrix except
-// the wall_ns field. Sweep modes do not append the {"host_metrics": ...}
-// JSONL line, precisely so those two outputs diff clean.
+// -scale must be finite and above 0, and -threads a comma-separated list of
+// positive counts; anything else exits 2 before a cell runs.
 //
 // -parallel N runs each sweep's cells on N host workers (0 = all cores);
 // results stream to the -json / -csv sinks in deterministic cell order, so
@@ -55,8 +40,8 @@
 // takes that result and simulates nothing, so the cells that fig16 and
 // fig16a-e, fig17 and fig18, or tab2 and the figures share run once per
 // invocation. Rows stay byte-identical apart from wall_ns; failed cells are
-// never memoized; the conformance oracle and the -shards determinism gate
-// always re-simulate (EXPERIMENTS.md "The result-memo contract").
+// never memoized; the conformance oracle always re-simulates
+// (EXPERIMENTS.md "The result-memo contract").
 // -machine-cap / -input-cap / -snapshot-cap bound the pools with LRU
 // eviction for long-lived processes (0, the default, is unbounded);
 // -input-budget / -snapshot-budget bound them in bytes instead (estimated
@@ -88,6 +73,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -164,13 +150,7 @@ func main() {
 		jsonOut  = flag.String("json", "", "write per-cell results as JSON lines to this file")
 		csvOut   = flag.String("csv", "", "write per-cell results as CSV to this file")
 		oracle   = flag.Bool("oracle", false, "run the differential conformance + determinism oracle and exit")
-		sweepID  = flag.String("sweep", "", "run a registered job matrix through the staged pipeline (see -list; journaled+resumable with -shard-dir)")
-		shards   = flag.Int("shards", 0, "coordinator mode: fork this many -shard worker processes over the -sweep matrix, merge their journals, emit")
-		shardSp  = flag.String("shard", "", "worker mode: run only shard i/n of the -sweep matrix, journaling completions to -shard-dir")
-		shardDir = flag.String("shard-dir", "", "journal directory for sharded/resumable sweeps")
-		shardChk = flag.Float64("shard-check", 0.25, "coordinator: re-run this hash-sampled fraction of merged cells locally as the cross-shard determinism gate (0 disables)")
-		killAft  = flag.Int("shard-kill-after", 0, "test hook: SIGKILL this worker after N freshly journaled cells, leaving a torn record (the coordinator forwards it to its last shard only)")
-		detSmp   = flag.Float64("det-sample", 0, "determinism oracle: re-run only this hash-selected fraction of cells (0 or 1 = all)")
+		detSmp   = flag.Float64("det-sample", 0, "determinism oracle: re-run only this hash-selected fraction of cells (any value outside (0, 1) = all)")
 		detSeed  = flag.Uint64("det-sample-seed", 0, "seed for the determinism-oracle cell sampler")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf  = flag.String("memprofile", "", "write an allocation profile at exit to this file (go tool pprof)")
@@ -230,22 +210,21 @@ func main() {
 	}
 	_ = experiments.Description // link the registry
 
-	sweepMode := *sweepID != "" || *shardSp != "" || *shards > 0
-	if *list || (*exp == "" && !*oracle && !sweepMode) {
+	if *list || (*exp == "" && !*oracle) {
 		fmt.Println("experiments:")
 		for _, id := range harness.IDs() {
 			e, _ := harness.Get(id)
 			fmt.Printf("  %-10s %s\n", id, e.Title)
 		}
-		fmt.Println("matrices (for -sweep):")
-		for _, id := range harness.MatrixIDs() {
-			m, _ := harness.GetMatrix(id)
-			fmt.Printf("  %-12s %s\n", id, m.Title)
-		}
 		if *exp == "" && !*list {
-			fmt.Println("\nrun with -exp <id>, -exp all, -oracle, or -sweep <matrix>")
+			fmt.Println("\nrun with -exp <id>, -exp all, or -oracle")
 		}
 		return
+	}
+	threadCounts, err := parseSizes(*scale, *threads)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		exitWith(2)
 	}
 
 	opts := harness.DefaultOptions()
@@ -291,16 +270,8 @@ func main() {
 	opts.Memo = &sweep.Memo{}
 	opts.DetSample = *detSmp
 	opts.DetSampleSeed = *detSeed
-	if *threads != "" {
-		opts.Threads = nil
-		for _, part := range strings.Split(*threads, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n <= 0 {
-				fmt.Fprintf(os.Stderr, "bad thread count %q\n", part)
-				exitWith(2)
-			}
-			opts.Threads = append(opts.Threads, n)
-		}
+	if threadCounts != nil {
+		opts.Threads = threadCounts
 	}
 
 	var closers []func() error
@@ -419,38 +390,6 @@ func main() {
 		exitWith(code)
 	}
 
-	if sweepMode {
-		// Sweep modes deliberately skip the trailing {"host_metrics": ...}
-		// JSONL line: the merged multi-shard output must diff clean against a
-		// single-process run of the same matrix, row for row.
-		if *exp != "" || *oracle {
-			fail(2, "-sweep/-shard/-shards run registered matrices; drop -exp/-oracle\n")
-		}
-		cfg := sweepConfig{
-			Matrix: *sweepID, Shards: *shards, ShardSpec: *shardSp, Dir: *shardDir,
-			Check: *shardChk, CheckSeed: *detSeed, KillAfter: *killAft,
-			Forward: []string{
-				"-scale", fmt.Sprint(*scale),
-				"-seed", fmt.Sprint(*seed),
-				"-parallel", fmt.Sprint(*parallel),
-				fmt.Sprintf("-reuse=%t", *reuse),
-				fmt.Sprintf("-machine-pool=%t", *mPool),
-				fmt.Sprintf("-input-arena=%t", *inArena),
-				fmt.Sprintf("-snapshots=%t", *snaps),
-			},
-		}
-		if *threads != "" {
-			cfg.Forward = append(cfg.Forward, "-threads", *threads)
-		}
-		start := time.Now()
-		runSweepModes(opts, cfg, fail)
-		if !closeSinks() {
-			exitWith(1)
-		}
-		fmt.Printf("(sweep completed in %v)\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-
 	if *oracle {
 		// The oracle runs its own fixed matrix; silently ignoring other
 		// selection flags would mislead scripted invocations.
@@ -509,4 +448,26 @@ func main() {
 	if !closeSinks() {
 		exitWith(1)
 	}
+}
+
+// parseSizes validates the two sizing flags. scale must be finite and above
+// 0: zero, negative and NaN scales would clamp every workload to one op and
+// print plausible tables. threads, when set, is a comma-separated list of
+// positive counts; nil means the default sweep.
+func parseSizes(scale float64, threads string) ([]int, error) {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return nil, fmt.Errorf("bad scale %v (want a finite number above 0)", scale)
+	}
+	if threads == "" {
+		return nil, nil
+	}
+	var counts []int
+	for _, part := range strings.Split(threads, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("bad thread count %q", part)
+		}
+		counts = append(counts, n)
+	}
+	return counts, nil
 }

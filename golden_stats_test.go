@@ -55,7 +55,7 @@ func goldenOptions() harness.Options {
 	return o
 }
 
-// goldenCells expands the golden matrix: the registered "golden" matrix
+// goldenCells expands the golden matrix: experiments.GoldenCells
 // (reduced conformance + geometry-swept group) at the pinned golden scale.
 func goldenCells() []sweep.Cell {
 	return experiments.GoldenCells(goldenOptions())

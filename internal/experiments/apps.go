@@ -247,7 +247,7 @@ func statsCell(i int, ws harness.Spec, v harness.Variant, threads int, o harness
 // cells still run on all workers and share the invocation's result memo
 // with the figures that show the same runs.
 func runStats(cells []sweep.Cell, o harness.Options) (sweep.Results, error) {
-	eng := o.Engine(true)
+	eng := o.Engine()
 	eng.Sinks = nil
 	rs, err := eng.Run(cells)
 	if err != nil {

@@ -87,10 +87,9 @@ func GeometryMatrix(o harness.Options) sweep.Matrix {
 
 // GoldenCells expands the golden matrix — the reduced conformance matrix
 // followed by the geometry-swept group, cell indexes renumbered into one
-// sequence. It is the one definition the golden gate (golden_stats_test),
-// the sharded-determinism tests, and the CLI's registered "golden" matrix
-// all expand, so a shard worker and its coordinator agree on the cells by
-// construction.
+// sequence. It is the one definition the golden gate (golden_stats_test)
+// and the benchmark's seeds workload expand; both key cells by Cell.Key,
+// so the keys must be pairwise distinct.
 func GoldenCells(o harness.Options) []sweep.Cell {
 	cells := ConformanceMatrix(o).Cells()
 	for _, c := range GeometryMatrix(o).Cells() {
@@ -101,16 +100,6 @@ func GoldenCells(o harness.Options) []sweep.Cell {
 }
 
 func init() {
-	harness.RegisterMatrix(harness.MatrixSpec{
-		ID:    "conformance",
-		Title: "Reduced differential-conformance matrix (no geometry group)",
-		Cells: func(o harness.Options) []sweep.Cell { return ConformanceMatrix(o).Cells() },
-	})
-	harness.RegisterMatrix(harness.MatrixSpec{
-		ID:    "golden",
-		Title: "Golden matrix: reduced conformance + geometry-swept group",
-		Cells: GoldenCells,
-	})
 	harness.Register(harness.Experiment{
 		ID:    "conformance",
 		Title: "Differential conformance + determinism oracle over the reduced matrix",

@@ -77,3 +77,32 @@ func TestMemoRowsMatchFreshRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenCellKeysUnique: the golden file and the benchmark's seeds
+// reference record cells by Cell.Key, so the golden matrix must give every
+// cell its own key — at its own seeds and in the seeds shape, the same
+// matrices over 16 consecutive seeds.
+func TestGoldenCellKeysUnique(t *testing.T) {
+	o := harness.DefaultOptions()
+	o.Scale = 0.25
+	seeds := make([]uint64, 16)
+	for i := range seeds {
+		seeds[i] = 1 + uint64(i)
+	}
+	conf, geo := ConformanceMatrix(o), GeometryMatrix(o)
+	conf.Seeds, geo.Seeds = seeds, seeds
+	for name, cells := range map[string][]sweep.Cell{
+		"golden":   GoldenCells(o),
+		"16 seeds": append(conf.Cells(), geo.Cells()...),
+	} {
+		seen := make(map[string]bool, len(cells))
+		for _, c := range cells {
+			k := c.Key()
+			if seen[k] {
+				t.Errorf("%s: two cells share key %s", name, k)
+				break
+			}
+			seen[k] = true
+		}
+	}
+}

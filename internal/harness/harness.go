@@ -129,7 +129,7 @@ func SpeedupSweep(id, title string, ws Spec, variants []Variant, o Options) (*Fi
 			add(v, th)
 		}
 	}
-	rs, err := o.engine().Run(cells)
+	rs, err := o.Engine().Run(cells)
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +238,7 @@ func BreakdownSweep(id, title string, ws Spec, variants []Variant, threads []int
 			})
 		}
 	}
-	rs, err := o.engine().Run(cells)
+	rs, err := o.Engine().Run(cells)
 	if err != nil {
 		return nil, err
 	}
@@ -388,14 +388,12 @@ func DefaultOptions() Options {
 	return Options{Threads: DefaultThreads, Seed: 1, Scale: 1.0, Workers: 1}
 }
 
-// Engine builds the sweep engine configured by the options. Figure sweeps
-// pass failFast=true: a broken workload aborts the rest of its matrix
-// instead of simulating every remaining cell first. The CLI sweep and
-// shard modes pass false — a journaled sweep wants every cell's real
-// verdict, and FailFast skips are deliberately never journaled.
-func (o Options) Engine(failFast bool) *sweep.Engine {
+// Engine builds the figure sweeps' engine configured by the options. It is
+// fail-fast: a broken workload aborts the rest of its matrix instead of
+// simulating every remaining cell first.
+func (o Options) Engine() *sweep.Engine {
 	return &sweep.Engine{
-		Workers: o.Workers, Sinks: o.Sinks, FailFast: failFast,
+		Workers: o.Workers, Sinks: o.Sinks, FailFast: true,
 		Reuse: o.Reuse, InputMode: o.Inputs, SnapshotMode: o.Snapshots,
 		Inputs: o.InputArena, Snapshots: o.SnapshotArena, Machines: o.MachinePool,
 		MachineCap: o.MachineCap, InputCap: o.InputCap, SnapshotCap: o.SnapshotCap,
@@ -403,9 +401,6 @@ func (o Options) Engine(failFast bool) *sweep.Engine {
 		Memo: o.Memo, Metrics: o.Metrics,
 	}
 }
-
-// engine is the figure sweeps' fail-fast engine.
-func (o Options) engine() *sweep.Engine { return o.Engine(true) }
 
 // Oracle translates the options into the conformance-oracle configuration.
 func (o Options) Oracle() sweep.OracleOptions {
@@ -460,44 +455,6 @@ func Get(id string) (Experiment, bool) {
 func IDs() []string {
 	ids := make([]string, 0, len(registry))
 	for id := range registry {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// MatrixSpec is a registered job matrix: a named, options-parameterized
-// cell expansion that every consumer — the CLI's -sweep/-shard modes, the
-// golden gate, the sharded-determinism tests — shares, so a shard worker
-// process and its coordinator expand identical cells (identical keys,
-// identical order) from the id alone. Cells must be deterministic in o:
-// the sharded pipeline's whole contract rests on every process computing
-// the same expansion.
-type MatrixSpec struct {
-	ID, Title string
-	Cells     func(o Options) []sweep.Cell
-}
-
-var matrices = map[string]MatrixSpec{}
-
-// RegisterMatrix adds a matrix; duplicate ids panic (registration bug).
-func RegisterMatrix(m MatrixSpec) {
-	if _, dup := matrices[m.ID]; dup {
-		panic("harness: duplicate matrix " + m.ID)
-	}
-	matrices[m.ID] = m
-}
-
-// GetMatrix returns a registered matrix.
-func GetMatrix(id string) (MatrixSpec, bool) {
-	m, ok := matrices[id]
-	return m, ok
-}
-
-// MatrixIDs returns all registered matrix ids, sorted.
-func MatrixIDs() []string {
-	ids := make([]string, 0, len(matrices))
-	for id := range matrices {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)

@@ -22,8 +22,8 @@ import (
 //
 // A failed cell is never cached: its owner returns its own verdict and any
 // cell waiting on it re-runs for a verdict of its own. The determinism
-// gates (the conformance oracle, CheckDeterminism, CheckShards) build
-// memo-less engines, so they always re-simulate. EXPERIMENTS.md "The
+// gates (the conformance oracle and CheckDeterminism) build memo-less
+// engines, so they always re-simulate. EXPERIMENTS.md "The
 // result-memo contract" has the full contract.
 //
 // It is the generic keyed-singleflight core (internal/arena), unbounded:

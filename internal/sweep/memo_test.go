@@ -217,7 +217,7 @@ func TestMemoHitAcquiresNoMachine(t *testing.T) {
 
 // TestGatesBypassMemo: results produced by a memo engine — every cell but
 // the first a hit — still get fully re-simulated by the conformance
-// oracle, CheckDeterminism and CheckShards, which build memo-less engines.
+// oracle and CheckDeterminism, which build memo-less engines.
 func TestGatesBypassMemo(t *testing.T) {
 	var n atomic.Int64
 	cells := []Cell{memoCell(0, "CommTM", 64, &n), memoCell(1, "CommTM", 64, &n), memoCell(2, "CommTM", 64, &n)}
@@ -238,9 +238,6 @@ func TestGatesBypassMemo(t *testing.T) {
 	}{
 		{"CheckDeterminism", 3, func(rm *RunMetrics) error {
 			return CheckDeterminismOpts(rs, DeterminismOptions{Workers: 2, Metrics: rm})
-		}},
-		{"CheckShards", 3, func(rm *RunMetrics) error {
-			return CheckShards(rs, DeterminismOptions{Workers: 2, Metrics: rm})
 		}},
 		{"Conformance", 4, func(rm *RunMetrics) error {
 			mx := Matrix{

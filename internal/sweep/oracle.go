@@ -109,11 +109,11 @@ type DeterminismOptions struct {
 	Metrics *RunMetrics
 	// Sample in (0, 1) re-runs only that fraction of passing cells,
 	// hash-selected per cell key so the subset is stable for a given
-	// SampleSeed and independent of matrix size or cell order. <= 0 or
-	// >= 1 re-runs every cell (full mode). Sampling keeps oracle cost flat
-	// as matrices grow; any nondeterminism the engine could exhibit
-	// (schedule leakage, shared state) would taint many cells, so a stable
-	// random subset still catches it with high probability.
+	// SampleSeed and independent of matrix size or cell order. Any other
+	// value, NaN included, re-runs every cell (full mode). Sampling keeps
+	// oracle cost flat as matrices grow; any nondeterminism the engine could
+	// exhibit (schedule leakage, shared state) would taint many cells, so a
+	// stable random subset still catches it with high probability.
 	Sample float64
 	// SampleSeed perturbs the hash selection, letting CI rotate subsets.
 	SampleSeed uint64
@@ -122,7 +122,7 @@ type DeterminismOptions struct {
 // sampled reports whether the cell with the given key is in the hash
 // subset: an FNV-1a hash of the key, mixed with the seed, scaled to [0,1).
 func (o DeterminismOptions) sampled(key string) bool {
-	if o.Sample <= 0 || o.Sample >= 1 {
+	if !(o.Sample > 0 && o.Sample < 1) { // NaN fails both comparisons: full mode
 		return true
 	}
 	const (
@@ -191,21 +191,6 @@ func CheckDeterminismOpts(rs Results, o DeterminismOptions) error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// CheckShards is the cross-shard acceptance gate of the sharded pipeline:
-// given merged results whose cells were computed by other processes (shard
-// workers), it re-runs a hash-sampled subset locally and requires
-// bit-identical Stats and digest — a cell must reproduce exactly no matter
-// which shard, process, or host computed it, the same bit-exactness
-// contract the determinism oracle enforces within one process. It is
-// CheckDeterminismOpts applied to merged results, which works because
-// Merge rebinds each journaled result to its plan cell (restoring the
-// workload constructor JSON cannot carry); raw journal records are not
-// re-runnable. Use DeterminismOptions.Sample to bound the gate's cost on
-// large matrices.
-func CheckShards(merged Results, o DeterminismOptions) error {
-	return CheckDeterminismOpts(merged, o)
 }
 
 // OracleOptions configures a Conformance run.

@@ -1,8 +1,6 @@
-// The scheduling half of the execute stage: cell hand-out with
-// configuration affinity and chunked, affinity-aware stealing. The
-// scheduler is deliberately unaware of journals, shards, and sinks — it
-// only orders which worker runs which cell next, which is why one shard of
-// a distributed sweep executes exactly like a whole single-process sweep.
+// The engine's scheduler: cell hand-out with configuration affinity and
+// chunked, affinity-aware stealing. It only orders which worker runs which
+// cell next; results and sinks are the emitter's business.
 package sweep
 
 import (

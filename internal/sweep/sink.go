@@ -45,9 +45,8 @@ var csvHeader = []string{
 }
 
 // CSVSink writes one row per result, with a header row. The header is
-// written lazily on the first Emit — never at construction — so it appears
-// exactly once whether the first row comes from a live cell, a merged
-// journal, or not at all (an empty sweep writes nothing).
+// written lazily on the first Emit — never at construction — so an empty
+// sweep writes nothing.
 type CSVSink struct {
 	w     *csv.Writer
 	wrote bool
@@ -56,14 +55,6 @@ type CSVSink struct {
 // NewCSV returns a CSV sink over w.
 func NewCSV(w io.Writer) *CSVSink {
 	return &CSVSink{w: csv.NewWriter(w)}
-}
-
-// NewCSVResume returns a CSV sink that appends to output which already
-// carries a header (a resumed sweep re-opening its partial output file):
-// the header is treated as written, so it still appears exactly once
-// across the original and resumed runs combined.
-func NewCSVResume(w io.Writer) *CSVSink {
-	return &CSVSink{w: csv.NewWriter(w), wrote: true}
 }
 
 // Emit implements Sink.
@@ -117,10 +108,6 @@ type TableSink struct {
 // NewTable returns a text-table sink over w. Like the CSV sink, the header
 // row is written on first Emit, exactly once.
 func NewTable(w io.Writer) *TableSink { return &TableSink{out: w} }
-
-// NewTableResume is NewCSVResume's text-table counterpart: the output
-// already has a header, so this sink never writes another.
-func NewTableResume(w io.Writer) *TableSink { return &TableSink{out: w, wrote: true} }
 
 // Emit implements Sink.
 func (s *TableSink) Emit(r Result) error {

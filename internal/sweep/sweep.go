@@ -26,13 +26,8 @@
 // distinct cell identity once across all its runs; the determinism gates
 // never carry one.
 //
-// The engine's control flow is a staged pipeline — expand → plan → execute
-// → journal → merge → emit. Matrix.Cells is the expand stage; this file
-// holds the execute stage's cell runner and worker pool, sched.go its
-// scheduler, and pipeline.go the rest (Plan, Journal, Merge, emitter) plus
-// the compositions: Engine.Run is the degenerate one (one shard, no
-// journal), RunShard/RunSharded — and cmd/commtm-bench's -shard modes —
-// are the sharded, crash-resumable ones.
+// Engine.Run is one worker pool: this file holds it and its cell runner,
+// sched.go its scheduler, and sink.go the sinks its in-order emitter feeds.
 package sweep
 
 import (
@@ -168,9 +163,9 @@ func (c Cell) Config() commtm.Config {
 }
 
 // Key identifies a cell's configuration: the stable identity under which
-// the pipeline journals results, assigns shards (ShardOf), and reports
-// errors. It deliberately omits Index, so it is stable across matrix
-// renumbering; NewPlan requires it to be unique within a plan.
+// errors are reported, the golden file records cells and the determinism
+// sampler selects them. It deliberately omits Index, so it is stable across
+// matrix renumbering.
 func (c Cell) Key() string {
 	s := fmt.Sprintf("%s/%s/%dt/seed=%d", c.Workload, c.Variant.Label, c.Threads, c.Seed)
 	if !c.Geometry.IsDefault() {
@@ -814,21 +809,11 @@ type Engine struct {
 	Metrics *RunMetrics
 }
 
-// Run executes all cells and returns their results ordered by cell index.
+// Run executes all cells and returns their results ordered by cell index,
+// streaming each to the sinks as soon as its ordered prefix completes.
 // Cell-level failures (validation errors, panics) are reported in the
-// results, not as an error; the returned error covers sink I/O only. Run
-// is the staged pipeline's degenerate composition: one shard, no journal,
-// live ordered emit.
+// results, not as an error; the returned error covers sink I/O only.
 func (e *Engine) Run(cells []Cell) (Results, error) {
-	return e.run(cells, ExecOptions{})
-}
-
-// run is the execute stage: the worker pool that Run, RunShard, and the
-// multi-process worker mode all share. Beyond plain execution it honors
-// ExecOptions — emit already-journaled results without re-running them,
-// journal each fresh completion before emit, and stop claiming when asked
-// — all of which the zero ExecOptions disables.
-func (e *Engine) run(cells []Cell, x ExecOptions) (Results, error) {
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -884,24 +869,11 @@ func (e *Engine) run(cells []Cell, x ExecOptions) (Results, error) {
 			}
 			var cur *schedGroup
 			for {
-				if x.Stop != nil && x.Stop() {
-					return
-				}
 				g, i, ok := q.next(cur, have)
 				if !ok {
 					return
 				}
 				cur = g
-				if r, ok := x.done(cells[i]); ok {
-					// Completed by an interrupted run: emit the journaled
-					// result without re-running — no machine, no metrics.
-					// Journaled failures still arm FailFast.
-					if r.Err != "" {
-						failed.Store(true)
-					}
-					em.put(i, r)
-					continue
-				}
 				if e.FailFast && failed.Load() {
 					em.put(i, Result{Cell: cells[i], Err: "skipped: earlier cell failed"})
 					continue
@@ -910,10 +882,6 @@ func (e *Engine) run(cells []Cell, x ExecOptions) (Results, error) {
 				if r.Err != "" {
 					failed.Store(true)
 				}
-				// Journal before emit: a crash after the journal write re-emits
-				// on resume; a crash before it re-runs. Skipped (FailFast)
-				// cells are never journaled — a resume runs them for real.
-				x.Journal.record(r)
 				em.put(i, r)
 			}
 		}(w)
@@ -925,12 +893,35 @@ func (e *Engine) run(cells []Cell, x ExecOptions) (Results, error) {
 	if pool != nil && pool != e.Machines {
 		pool.Close()
 	}
-	err := em.err
-	if err == nil {
-		// A journal that stopped persisting makes the run non-resumable;
-		// surface it like a sink failure rather than return silently partial
-		// durability.
-		err = x.Journal.Err()
+	return results, em.err
+}
+
+// emitter reorders completions back into cell-index order and forwards the
+// longest completed prefix to the sinks.
+type emitter struct {
+	mu      sync.Mutex
+	results Results
+	done    int // results[:done] flushed to sinks
+	pending map[int]bool
+	sinks   []Sink
+	err     error
+}
+
+func (em *emitter) put(i int, r Result) {
+	em.mu.Lock()
+	defer em.mu.Unlock()
+	em.results[i] = r
+	if em.pending == nil {
+		em.pending = make(map[int]bool)
 	}
-	return results, err
+	em.pending[i] = true
+	for em.pending[em.done] {
+		delete(em.pending, em.done)
+		for _, s := range em.sinks {
+			if err := s.Emit(em.results[em.done]); err != nil && em.err == nil {
+				em.err = fmt.Errorf("sweep: sink: %w", err)
+			}
+		}
+		em.done++
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"regexp"
 	"strings"
 	"testing"
@@ -628,6 +629,13 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if got, want := stripWall.ReplaceAllString(parCSV, ""), stripWall.ReplaceAllString(seqCSV, ""); got != want {
 		t.Error("CSV output differs between sequential and parallel runs (modulo wall_ns)")
 	}
+	// The CSV header is written once, as the first line, however the rows
+	// arrive.
+	lines := strings.Split(strings.TrimSpace(parCSV), "\n")
+	if !strings.HasPrefix(lines[0], "index,workload") || strings.Count(parCSV, "index,workload") != 1 || len(lines) != len(cells)+1 {
+		t.Errorf("CSV has %d lines with %d headers, want one header line then %d rows",
+			len(lines), strings.Count(parCSV, "index,workload"), len(cells))
+	}
 }
 
 func TestSinksReceiveCellsInOrder(t *testing.T) {
@@ -785,8 +793,12 @@ func TestSampledDeterminism(t *testing.T) {
 	if n := len(subset(0.5, 1)); n == 0 || n == len(rs) {
 		t.Fatalf("0.5 sample selected %d of %d cells; want a strict subset", n, len(rs))
 	}
-	if full := len(subset(1.0, 1)); full != len(rs) {
-		t.Fatalf("sample=1 selected %d of %d cells", full, len(rs))
+	// Every value outside the open interval (0, 1) is full mode; NaN fails
+	// both bounds and must not select nothing.
+	for _, s := range []float64{0, -0.5, 1.0, 2, math.NaN(), math.Inf(1)} {
+		if full := len(subset(s, 1)); full != len(rs) {
+			t.Fatalf("sample=%v selected %d of %d cells, want all", s, full, len(rs))
+		}
 	}
 	// Different seeds should (eventually) pick different subsets; check a
 	// few seeds rather than asserting on one draw.
