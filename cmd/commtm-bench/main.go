@@ -11,8 +11,9 @@
 //	commtm-bench -oracle -parallel 0
 //	commtm-bench -oracle -parallel 0 -det-sample 0.25 -reuse=false -input-arena=false
 //
-// -scale must be finite and above 0, and -threads a comma-separated list of
-// positive counts; anything else exits 2 before a cell runs.
+// -scale must be finite and above 0, -threads a comma-separated list of
+// counts in 1..128 (one hardware thread per simulated core), and -parallel
+// 0 or above; anything else exits 2 before a cell runs.
 //
 // -parallel N runs each sweep's cells on N host workers (0 = all cores);
 // results stream to the -json / -csv sinks in deterministic cell order, so
@@ -24,31 +25,25 @@
 // (kind, params, seed) and replays them across cells instead of
 // regenerating; -snapshots (default true) caches post-Setup machine images
 // by (workload, params, seed, config modulo seed and variant) and restores
-// them with bulk page copies on repeated cells, skipping Setup entirely.
-// Results are bit-identical with any combination of the three (the golden
-// gate proves it), only host allocation behavior changes. The input and
-// snapshot arenas are process-lifetime: one invocation running several
-// experiments (-exp all) shares them across every figure sweep, so
-// reference cells and repeated configurations hit across experiments.
-// -machine-pool (default true, requires -reuse) makes the machine pool
-// process-lifetime too: pooled machines survive between experiments and
-// repeated configurations reuse them with a Reset instead of rebuilding,
-// with the same bit-identical-results guarantee; -machine-pool=false
-// reverts to a pool per sweep. Above all three sits the invocation's result
-// memo, which has no flag: a cell whose identity (workload, params, full
-// machine configuration) an earlier cell of the process already simulated
-// takes that result and simulates nothing, so the cells that fig16 and
-// fig16a-e, fig17 and fig18, or tab2 and the figures share run once per
-// invocation. Rows stay byte-identical apart from wall_ns; failed cells are
-// never memoized; the conformance oracle always re-simulates
-// (EXPERIMENTS.md "The result-memo contract").
-// -machine-cap / -input-cap / -snapshot-cap bound the pools with LRU
-// eviction for long-lived processes (0, the default, is unbounded);
-// -input-budget / -snapshot-budget bound them in bytes instead (estimated
-// deep host bytes for inputs, deduplicated resident bytes for snapshots —
-// pages shared between cached images are charged once), evicting the least
-// recently used entries until back under budget. Caps and budgets
-// compose: either limit alone triggers eviction.
+// them on repeated cells by adopting their copy-on-write pages, skipping
+// Setup entirely. Results are bit-identical with any combination of the
+// three (the golden gate proves it), only host allocation behavior changes.
+// The input and snapshot arenas are process-lifetime: one invocation
+// running several experiments (-exp all) shares them across every figure
+// sweep, so reference cells and repeated configurations hit across
+// experiments. -machine-pool (default true, requires -reuse) makes the
+// machine pool process-lifetime too: pooled machines survive between
+// experiments and repeated configurations reuse them with a Reset instead
+// of rebuilding, with the same bit-identical-results guarantee;
+// -machine-pool=false reverts to a pool per sweep. Every cache is unbounded
+// for the life of the invocation: nothing is evicted. Above all three sits
+// the invocation's result memo, which has no flag: a cell whose identity
+// (workload, params, full machine configuration) an earlier cell of the
+// process already simulated takes that result and simulates nothing, so the
+// cells that fig16 and fig16a-e, fig17 and fig18, or tab2 and the figures
+// share run once per invocation. Rows stay byte-identical apart from
+// wall_ns; failed cells are never memoized; the conformance oracle always
+// re-simulates (EXPERIMENTS.md "The result-memo contract").
 // -oracle runs the differential conformance + determinism oracle over the
 // reduced matrix (plus the geometry-swept group) and exits nonzero on
 // failure; -det-sample F re-runs only a hash-selected fraction F of cells
@@ -56,17 +51,14 @@
 //
 // Every experiment also reports per-sweep host metrics (allocations, GC
 // cycles, heap high-water from runtime.ReadMemStats, and the engine's
-// lifecycle counters: result-memo hits/misses, machines
-// built/reused/evicted, input-arena and snapshot-arena hits/misses,
-// copy-on-write page copies, restore skips, and the shared/private page
-// census with its sharing ratio) on stdout and,
-// when -json is given, as a trailing {"host_metrics": ...} JSON line; the
-// line also carries the process-lifetime arenas' cumulative stats (entries,
-// logical and resident bytes — resident deduplicates pages shared between
-// copy-on-write images, so resident/logical is the cross-image sharing
-// ratio — and evictions over the whole invocation) — the observability
-// that makes lifecycle/allocation regressions visible in committed BENCH
-// files.
+// lifecycle counters: result-memo hits/misses, machines built/reused,
+// input-arena and snapshot-arena hits/misses, copy-on-write page copies,
+// restore skips, and the shared/private page census with its sharing ratio)
+// on stdout and, when -json is given, as a trailing {"host_metrics": ...}
+// JSON line; the line also carries the process-lifetime arenas' cumulative
+// stats (entries, hits and misses over the whole invocation, and the page
+// pool's content-dedup counters) — the observability that makes
+// lifecycle/allocation regressions visible in committed BENCH files.
 package main
 
 import (
@@ -81,6 +73,7 @@ import (
 	"strings"
 	"time"
 
+	"commtm"
 	"commtm/internal/experiments"
 	"commtm/internal/harness"
 	"commtm/internal/sweep"
@@ -90,8 +83,8 @@ import (
 
 // hostMetrics is the per-sweep host-side cost report: deltas of
 // runtime.MemStats across one experiment run, plus the sweep engine's
-// lifecycle counters (result-memo hits/misses, machines
-// built/reused/evicted, input-arena hits/misses) for the same experiment.
+// lifecycle counters (result-memo hits/misses, machines built/reused,
+// input- and snapshot-arena hits/misses) for the same experiment.
 // HeapSysBytes is the OS-claimed heap (HeapSys) at the end of the sweep —
 // a process-wide high-water mark, monotone across experiments, named for
 // what it is so BENCH consumers do not read it as a per-experiment peak.
@@ -104,7 +97,7 @@ type hostMetrics struct {
 	HeapSysBytes uint64           `json:"host_heap_sys_bytes"`
 	Lifecycle    sweep.RunMetrics `json:"lifecycle"`
 	// Cumulative state of the process-lifetime arenas at the end of this
-	// experiment (monotone counters plus resident gauges, spanning every
+	// experiment (monotone counters plus size gauges, spanning every
 	// experiment the invocation has run so far). Omitted when the
 	// corresponding arena is disabled.
 	InputsArena    *inputs.Stats    `json:"inputs_arena,omitempty"`
@@ -142,11 +135,6 @@ func main() {
 		mPool    = flag.Bool("machine-pool", true, "keep pooled machines alive across experiments of this invocation (requires -reuse; false = pool per sweep)")
 		inArena  = flag.Bool("input-arena", true, "cache generated workload inputs across cells (false = regenerate per cell)")
 		snaps    = flag.Bool("snapshots", true, "cache post-Setup machine images and restore them on repeated cells (false = run Setup per cell)")
-		mCap     = flag.Int("machine-cap", 0, "global cap on pooled machines, LRU-evicted beyond it (0 = unbounded)")
-		iCap     = flag.Int("input-cap", 0, "cap on cached workload inputs, LRU-evicted beyond it (0 = unbounded)")
-		sCap     = flag.Int("snapshot-cap", 0, "cap on cached machine images, LRU-evicted beyond it (0 = unbounded)")
-		iBudget  = flag.Int("input-budget", 0, "byte budget for cached workload inputs (estimated deep host bytes), LRU-evicted beyond it (0 = unbounded)")
-		sBudget  = flag.Int("snapshot-budget", 0, "byte budget for cached machine images (deduplicated resident bytes: shared pages charged once), LRU-evicted beyond it (0 = unbounded)")
 		jsonOut  = flag.String("json", "", "write per-cell results as JSON lines to this file")
 		csvOut   = flag.String("csv", "", "write per-cell results as CSV to this file")
 		oracle   = flag.Bool("oracle", false, "run the differential conformance + determinism oracle and exit")
@@ -221,9 +209,10 @@ func main() {
 		}
 		return
 	}
-	threadCounts, err := parseSizes(*scale, *threads)
+	threadCounts, err := parseSizes(*scale, *threads, *parallel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
 		exitWith(2)
 	}
 
@@ -243,25 +232,19 @@ func main() {
 	if !*snaps {
 		opts.Snapshots = sweep.SnapshotsOff
 	}
-	opts.MachineCap = *mCap
-	opts.InputCap = *iCap
-	opts.SnapshotCap = *sCap
-	opts.InputBudget = *iBudget
-	opts.SnapshotBudget = *sBudget
 	// Process-lifetime arenas: one input arena, one snapshot arena, and one
 	// machine pool are owned here and handed to every sweep of the
 	// invocation, so inputs, machine images, and pooled machines cache
 	// across experiments (the reference cell of each figure, repeated
-	// configurations between figures). The caps and byte budgets ride on
-	// the arenas/pool themselves.
+	// configurations between figures).
 	if *inArena {
-		opts.InputArena = inputs.NewBudgeted(*iCap, *iBudget)
+		opts.InputArena = inputs.New()
 	}
 	if *snaps {
-		opts.SnapshotArena = snapshots.NewBudgeted(*sCap, *sBudget)
+		opts.SnapshotArena = snapshots.New()
 	}
 	if *reuse && *mPool {
-		opts.MachinePool = sweep.NewMachinePool(*mCap)
+		opts.MachinePool = sweep.NewMachinePool()
 		defer opts.MachinePool.Close()
 	}
 	// The invocation's result memo: a cell several figures and tables show
@@ -318,10 +301,9 @@ func main() {
 		fmt.Printf("host: allocs=%d alloc_bytes=%d gc_cycles=%d heap_sys_bytes=%d\n",
 			hm.Allocs, hm.AllocBytes, hm.GCCycles, hm.HeapSysBytes)
 		lc := hm.Lifecycle
-		fmt.Printf("lifecycle: memo_hits=%d memo_misses=%d machines_built=%d machine_reuses=%d machines_evicted=%d input_hits=%d input_misses=%d input_evictions=%d snapshot_hits=%d snapshot_misses=%d snapshot_evictions=%d snapshot_bytes=%d snapshot_base_hits=%d snapshot_base_misses=%d\n",
-			lc.MemoHits, lc.MemoMisses, lc.MachinesBuilt, lc.MachineReuses, lc.MachinesEvicted, lc.InputHits, lc.InputMisses, lc.InputEvictions,
-			lc.SnapshotHits, lc.SnapshotMisses, lc.SnapshotEvictions, lc.SnapshotBytes,
-			lc.SnapshotBaseHits, lc.SnapshotBaseMisses)
+		fmt.Printf("lifecycle: memo_hits=%d memo_misses=%d machines_built=%d machine_reuses=%d input_hits=%d input_misses=%d snapshot_hits=%d snapshot_misses=%d snapshot_base_hits=%d snapshot_base_misses=%d\n",
+			lc.MemoHits, lc.MemoMisses, lc.MachinesBuilt, lc.MachineReuses, lc.InputHits, lc.InputMisses,
+			lc.SnapshotHits, lc.SnapshotMisses, lc.SnapshotBaseHits, lc.SnapshotBaseMisses)
 		// The copy-on-write line: page copies triggered by first writes to
 		// shared pages, restores skipped by the image-digest stamp, and the
 		// post-run page census summed over cells — sharing = shared pages /
@@ -341,7 +323,7 @@ func main() {
 		if hm.InputsArena != nil || hm.SnapshotsArena != nil || hm.MachinePool != nil {
 			fmt.Printf("arenas:")
 			if st := hm.InputsArena; st != nil {
-				fmt.Printf(" inputs{size=%d bytes=%d hits=%d misses=%d evictions=%d}", st.Size, st.Bytes, st.Hits, st.Misses, st.Evictions)
+				fmt.Printf(" inputs{size=%d hits=%d misses=%d}", st.Size, st.Hits, st.Misses)
 			}
 			if st := hm.SnapshotsArena; st != nil {
 				// dedup is the content-dedup ratio of all pages ever interned:
@@ -351,12 +333,11 @@ func main() {
 				if tot := st.PagesInterned + st.PagesDeduped; tot > 0 {
 					dedup = float64(st.PagesDeduped) / float64(tot)
 				}
-				fmt.Printf(" snapshots{size=%d bytes=%d resident_bytes=%d hits=%d misses=%d evictions=%d base_size=%d base_hits=%d base_misses=%d base_evictions=%d pool_pages=%d page_dedup=%.3f}",
-					st.Size, st.Bytes, st.ResidentBytes, st.Hits, st.Misses, st.Evictions,
-					st.BaseSize, st.BaseHits, st.BaseMisses, st.BaseEvictions, st.PoolPages, dedup)
+				fmt.Printf(" snapshots{size=%d hits=%d misses=%d base_size=%d base_hits=%d base_misses=%d pool_pages=%d page_dedup=%.3f}",
+					st.Size, st.Hits, st.Misses, st.BaseSize, st.BaseHits, st.BaseMisses, st.PoolPages, dedup)
 			}
 			if st := hm.MachinePool; st != nil {
-				fmt.Printf(" machines{size=%d hits=%d misses=%d evictions=%d}", st.Size, st.Hits, st.Misses, st.Evictions)
+				fmt.Printf(" machines{size=%d hits=%d misses=%d}", st.Size, st.Hits, st.Misses)
 			}
 			fmt.Println(" (cumulative over this invocation)")
 		}
@@ -450,13 +431,17 @@ func main() {
 	}
 }
 
-// parseSizes validates the two sizing flags. scale must be finite and above
-// 0: zero, negative and NaN scales would clamp every workload to one op and
+// parseSizes validates the sizing flags. scale must be finite and above 0:
+// zero, negative and NaN scales would clamp every workload to one op and
 // print plausible tables. threads, when set, is a comma-separated list of
-// positive counts; nil means the default sweep.
-func parseSizes(scale float64, threads string) ([]int, error) {
+// counts in 1..commtm.MaxThreads; nil means the default sweep. parallel
+// must be 0 (all host cores) or above.
+func parseSizes(scale float64, threads string, parallel int) ([]int, error) {
 	if !(scale > 0) || math.IsInf(scale, 1) {
 		return nil, fmt.Errorf("bad scale %v (want a finite number above 0)", scale)
+	}
+	if parallel < 0 {
+		return nil, fmt.Errorf("bad parallel %d (want 0 for all cores, or a worker count)", parallel)
 	}
 	if threads == "" {
 		return nil, nil
@@ -464,8 +449,8 @@ func parseSizes(scale float64, threads string) ([]int, error) {
 	var counts []int
 	for _, part := range strings.Split(threads, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad thread count %q", part)
+		if err != nil || n <= 0 || n > commtm.MaxThreads {
+			return nil, fmt.Errorf("bad thread count %q (want 1..%d)", part, commtm.MaxThreads)
 		}
 		counts = append(counts, n)
 	}

@@ -27,6 +27,15 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "simulation seed")
 	)
 	flag.Parse()
+	// Out-of-range sizes are usage errors, reported before anything runs:
+	// a thread count the machine cannot build would otherwise fail as a
+	// "validation" error, and zero ops prints an all-zero table.
+	if *threads < 1 || *threads > commtm.MaxThreads {
+		usage(fmt.Sprintf("bad -threads %d (want 1..%d)", *threads, commtm.MaxThreads))
+	}
+	if *ops < 1 {
+		usage(fmt.Sprintf("bad -ops %d (want at least 1)", *ops))
+	}
 
 	spec := func(name string, mk func() harness.Workload) harness.Spec {
 		return harness.Spec{Name: name, Mk: mk}
@@ -77,5 +86,11 @@ func main() {
 		st.GETS, st.GETX, st.GETU, st.Reductions, st.Gathers, st.Splits)
 	fmt.Printf("labeled ops %d / %d instructions (%.4f%%)\n",
 		st.LabeledOps, st.Instructions, 100*st.LabeledFraction())
-	_ = commtm.CommTM
+}
+
+// usage reports a bad flag value with the flag summary and exits 2.
+func usage(msg string) {
+	fmt.Fprintln(os.Stderr, msg)
+	flag.Usage()
+	os.Exit(2)
 }

@@ -38,7 +38,6 @@ import (
 	"commtm/internal/engine"
 	"commtm/internal/mem"
 	"commtm/internal/memsys"
-	"commtm/internal/noc"
 	"commtm/internal/xrand"
 )
 
@@ -135,11 +134,17 @@ type Machine struct {
 	restoreSkips uint64 // lifetime count of stamp-matched Restore no-ops
 }
 
+// MaxThreads is the largest Config.Threads New accepts: one hardware thread
+// per core of the paper's 16-tile, 8-cores-per-tile mesh (noc.Default4x4).
+// Command-line tools check it up front so a bad thread count is a usage
+// error rather than a failed run.
+const MaxThreads = 128
+
 // New builds a machine. It panics on invalid configuration — construction
 // errors are programming errors, not runtime conditions.
 func New(cfg Config) *Machine {
-	if cfg.Threads <= 0 || cfg.Threads > noc.Default4x4().Cores() {
-		panic(fmt.Sprintf("commtm: Threads must be in 1..%d, got %d", noc.Default4x4().Cores(), cfg.Threads))
+	if cfg.Threads <= 0 || cfg.Threads > MaxThreads {
+		panic(fmt.Sprintf("commtm: Threads must be in 1..%d, got %d", MaxThreads, cfg.Threads))
 	}
 	p := memsys.DefaultParams(cfg.Threads)
 	p.EnableU = cfg.Protocol == CommTM
@@ -237,9 +242,9 @@ func (img *Image) Config() Config { return img.cfg }
 func (img *Image) Digest() uint64 { return img.digest }
 
 // Bytes returns the logical size of the image's page payloads — what a
-// whole-page-copy image would occupy, and the unit of the snapshot arena's
-// logical-bytes telemetry. The resident footprint is smaller whenever pages
-// are shared with live stores or sibling images (see Store.PageStats).
+// whole-page-copy image would occupy. The resident footprint is smaller
+// whenever pages are shared with live stores or sibling images (see
+// Store.PageStats).
 func (img *Image) Bytes() int { return img.store.Bytes() }
 
 // Pages returns the number of 4 KiB pages the image references.
@@ -252,32 +257,6 @@ func (img *Image) Lines() int { return img.store.Lines() }
 // sharing between images and live machines, re-exported for telemetry
 // consumers converting page counts to bytes.
 const PageBytes = mem.PageBytes
-
-// ResidentImageBytes returns the host footprint of the distinct store pages
-// the given images reference — pages shared between images count once. The
-// snapshot arena reports this as resident bytes next to the logical sum of
-// per-image Bytes.
-func ResidentImageBytes(imgs []*Image) int {
-	stores := make([]*mem.StoreImage, 0, len(imgs))
-	for _, img := range imgs {
-		if img != nil {
-			stores = append(stores, img.store)
-		}
-	}
-	return mem.ResidentPageBytes(stores)
-}
-
-// ResidentBaseImageBytes is ResidentImageBytes for base images: the host
-// footprint of the distinct store pages the given bases reference.
-func ResidentBaseImageBytes(bases []*BaseImage) int {
-	stores := make([]*mem.StoreImage, 0, len(bases))
-	for _, b := range bases {
-		if b != nil {
-			stores = append(stores, b.store)
-		}
-	}
-	return mem.ResidentPageBytes(stores)
-}
 
 // Snapshot captures the machine's post-Setup state into an immutable Image.
 // It must be called after Setup-style preparation and before Run: snapshots
@@ -391,9 +370,6 @@ func (b *BaseImage) Config() Config { return b.cfg }
 // the same Setup digest equal.
 func (b *BaseImage) Digest() uint64 { return b.digest }
 
-// Bytes returns the logical size of the base's page payloads.
-func (b *BaseImage) Bytes() int { return b.store.Bytes() }
-
 // Pages returns the number of 4 KiB pages the base references.
 func (b *BaseImage) Pages() int { return b.store.Pages() }
 
@@ -474,18 +450,12 @@ func NewPagePool() *PagePool { return mem.NewPagePool() }
 
 // InternPages registers the image's store pages in the pool, rewriting them
 // to the pool's canonical payloads. Must happen before the image is shared
-// with concurrent readers; balance with ReleasePages.
+// with concurrent readers.
 func (img *Image) InternPages(p *PagePool) { p.Intern(img.store) }
-
-// ReleasePages drops the pool references InternPages took.
-func (img *Image) ReleasePages(p *PagePool) { p.Release(img.store) }
 
 // InternPages registers the base's store pages in the pool; see
 // Image.InternPages.
 func (b *BaseImage) InternPages(p *PagePool) { p.Intern(b.store) }
-
-// ReleasePages drops the pool references InternPages took.
-func (b *BaseImage) ReleasePages(p *PagePool) { p.Release(b.store) }
 
 // RestoreSkips returns how many Restore calls were satisfied by the
 // image-digest stamp alone (no Reset, no page work) over the machine's

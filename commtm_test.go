@@ -3,6 +3,8 @@ package commtm
 import (
 	"testing"
 	"testing/quick"
+
+	"commtm/internal/noc"
 )
 
 // runCounter increments a shared counter n times per thread and returns the
@@ -312,4 +314,12 @@ func TestRunTwicePanics(t *testing.T) {
 		}
 	}()
 	m.Run(func(th *Thread) {})
+}
+
+// TestMaxThreadsMatchesMesh: the thread limit New enforces (and the CLIs
+// check up front) is one thread per core of the mesh every machine runs on.
+func TestMaxThreadsMatchesMesh(t *testing.T) {
+	if got := noc.Default4x4().Cores(); MaxThreads != got {
+		t.Fatalf("MaxThreads = %d, but the default mesh has %d cores", MaxThreads, got)
+	}
 }

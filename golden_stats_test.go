@@ -160,25 +160,6 @@ func TestGoldenConformance(t *testing.T) {
 	checkAgainstGolden(t, runGoldenMatrix(t, sweep.ReuseOn, sweep.InputsOn, sweep.SnapshotsOn), want, "reuse=on,inputs=on,snapshots=on")
 	checkAgainstGolden(t, runGoldenMatrix(t, sweep.ReuseOff, sweep.InputsOff, sweep.SnapshotsOn), want, "reuse=off,inputs=off,snapshots=on")
 
-	// Copy-on-write under byte pressure: snapshots on with byte budgets
-	// tight enough that the arenas evict mid-sweep, so cells alternate
-	// between restoring an image, re-running Setup after its image was
-	// evicted, and re-capturing — the full CoW lifecycle (seal, alias,
-	// copy-on-first-write, re-seal) under churn. Same goldens: eviction and
-	// re-capture are host-side lifecycle, never simulated behavior.
-	// The golden matrix's images are small (micro workloads install little
-	// memory), so the budget is a single page: any two nonempty images
-	// overflow it, forcing eviction and re-capture churn throughout.
-	budgetRM := &sweep.RunMetrics{}
-	budgetEng := sweep.Engine{
-		Workers: 0, Reuse: sweep.ReuseOn, InputMode: sweep.InputsOn, SnapshotMode: sweep.SnapshotsOn,
-		SnapshotBudget: commtm.PageBytes, InputBudget: 8 * 1024, Metrics: budgetRM,
-	}
-	checkAgainstGolden(t, runGoldenEngine(t, budgetEng), want, "snapshots=on,budgeted")
-	if budgetRM.SnapshotEvictions == 0 {
-		t.Errorf("one-page snapshot budget never evicted over the golden matrix; the budgeted leg is not exercising eviction (metrics: %+v)", budgetRM)
-	}
-
 	// Thread-invariant split snapshots: the golden matrix sweeps counter and
 	// oput (both ThreadInvariant opt-ins) across threads {1,8,32}, so with
 	// snapshots on the split path must take base hits — the 8- and 32-thread
@@ -203,7 +184,7 @@ func TestGoldenConformance(t *testing.T) {
 	// still reproduce the committed goldens bit-identically — a machine that
 	// leaked any state across *sweeps* (not just across cells) diverges in
 	// run 2. The goldens are NOT re-baselined for this mode.
-	pool := sweep.NewMachinePool(0)
+	pool := sweep.NewMachinePool()
 	defer pool.Close()
 	poolEng := sweep.Engine{Workers: 0, Reuse: sweep.ReuseOn, InputMode: sweep.InputsOn, SnapshotMode: sweep.SnapshotsOn, Machines: pool}
 	checkAgainstGolden(t, runGoldenEngine(t, poolEng), want, "pool=on,run=1")

@@ -1,16 +1,17 @@
-// Package arena is the generic keyed-singleflight-LRU core beneath the
-// repo's three caching clients: the workload-input arena
-// (internal/workloads/inputs), the machine-image snapshot arena
-// (internal/workloads/snapshots), and the sweep engine's machine pool
-// (internal/sweep). All three need the same subtle machinery — per-key
-// singleflight with publish-before-value entries, panic unpublish with
-// waiter wakeup, done-only LRU eviction with settle retry, an optional
-// entry cap and byte budget, byte accounting, and release hooks — and before this package
-// existed they were three hand-synced copies that had already drifted
-// (eviction-close policy differed, and a waiter woken by a panicked owner
-// could count both a hit and a miss for one Load). The contract every
-// client relies on is documented in EXPERIMENTS.md "The generic arena
-// contract".
+// Package arena is the generic keyed-singleflight core beneath the repo's
+// caching clients: the workload-input arena (internal/workloads/inputs),
+// the machine-image snapshot arena (internal/workloads/snapshots), the
+// sweep engine's machine pool and its result memo (internal/sweep). All of
+// them need the same subtle machinery — per-key singleflight with
+// publish-before-value entries and panic unpublish with waiter wakeup — and
+// before this package existed they were hand-synced copies that had already
+// drifted (a waiter woken by a panicked owner could count both a hit and a
+// miss for one Load). The contract every client relies on is documented in
+// EXPERIMENTS.md "The generic arena contract".
+//
+// An arena is unbounded for the life of its owner: nothing is ever evicted.
+// An entry leaves only through Remove or RemoveAll, which the caller
+// invokes explicitly.
 //
 // The core guarantees, in brief:
 //
@@ -21,13 +22,9 @@
 //   - Panic protocol: if the owner's generator panics, the pending entry
 //     is unpublished and its waiters woken before the panic propagates;
 //     a woken waiter re-claims and may become the new owner.
-//   - Exactly one outcome per Load: every Load (or Acquire) increments
-//     exactly one of Hits or Misses, whether it hits a settled entry,
-//     waits out an in-flight one, generates, or panics while generating.
-//   - Done-only LRU eviction: only settled, unpinned entries are
-//     evictable; when everything over the cap or byte budget is still
-//     generating or pinned, eviction retries at the next settle or
-//     Release.
+//   - Exactly one outcome per Load: every Load increments exactly one of
+//     Hits or Misses, whether it hits a settled entry, waits out an
+//     in-flight one, generates, or panics while generating.
 //   - Release hooks run outside the arena lock, so a hook that re-enters
 //     the arena (or is merely slow) can neither deadlock nor stall
 //     concurrent Loads.
@@ -35,132 +32,63 @@ package arena
 
 import "sync"
 
-// Stats is a snapshot of an arena's behavior. Hits, Misses, Evictions, and
-// BytesAdded are cumulative counters; Size, Bytes, and ResidentBytes are
-// current gauges. Bytes is the SizeOf accounting — the logical footprint,
-// and the unit Budget evicts against; ResidentBytes is the Residency hook's
-// host-footprint estimate (values that share storage, like copy-on-write
-// snapshot images aliasing common pages, are resident-smaller than their
-// logical sum) and mirrors Bytes when no hook is set. Evictions counts
-// cap- and budget-driven evictions only — Remove and RemoveAll are
-// caller-initiated and not counted, matching the sweep engine's historical
-// accounting (a dropped failed-cell machine is not a cap eviction).
+// Stats is a snapshot of an arena's behavior. Hits and Misses are
+// cumulative counters; Size is the current entry count.
 type Stats struct {
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	Evictions     uint64 `json:"evictions"`
-	BytesAdded    uint64 `json:"bytes_added"`
-	Size          int    `json:"size"`
-	Bytes         int    `json:"bytes"`
-	ResidentBytes int    `json:"resident_bytes"`
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
+	Size   int    `json:"size"`
 }
 
-// Delta returns the counter movement between prev and s, keeping s's
-// gauges. Clients sharing a process-lifetime arena across runs use it to
-// report per-run metrics.
+// Delta returns the counter movement between prev and s, keeping s's Size.
+// Clients sharing a process-lifetime arena across runs use it to report
+// per-run metrics.
 func (s Stats) Delta(prev Stats) Stats {
 	s.Hits -= prev.Hits
 	s.Misses -= prev.Misses
-	s.Evictions -= prev.Evictions
-	s.BytesAdded -= prev.BytesAdded
 	return s
 }
 
-// entry is one cached value, linked into the arena's LRU list (front = most
-// recently used). An entry is published to the map before its value exists
-// (per-key singleflight): the claiming caller generates, then closes ready;
-// racers wait on it instead of regenerating.
+// entry is one cached value. An entry is published to the map before its
+// value exists (per-key singleflight): the claiming caller generates, then
+// closes ready; racers wait on it instead of regenerating.
 type entry[K comparable, V any] struct {
-	key        K
-	val        V
-	ready      chan struct{}
-	done       bool // val is set; only done entries are evictable
-	pins       int  // in-use count; pinned entries are never evicted
-	bytes      int  // SizeOf(val), accounted at settle
-	prev, next *entry[K, V]
+	key   K
+	val   V
+	ready chan struct{}
+	done  bool // val is set; only done entries are returned or removed
 }
 
-// Arena is a content-addressed, optionally capped, concurrency-safe cache.
-// The zero value is a valid unbounded arena; a nil *Arena is also valid and
-// always generates fresh (nil-arena semantics every client preserves).
-//
-// The three configuration fields must be set before first use and never
-// changed afterwards.
+// Arena is a content-addressed, unbounded, concurrency-safe cache. The zero
+// value is a valid arena; a nil *Arena is also valid and always generates
+// fresh (nil-arena semantics every client preserves).
 type Arena[K comparable, V any] struct {
-	// Cap bounds the entry count; beyond it the least recently used done,
-	// unpinned entry is evicted. <= 0 means unbounded.
-	Cap int
-	// Budget bounds the total SizeOf-accounted bytes (Stats.Bytes): while
-	// over budget, least recently used done, unpinned entries are evicted —
-	// the same done-only/pinned rules as Cap, and the two compose (either
-	// limit triggers eviction). <= 0 means unbounded. Budget without SizeOf
-	// is inert (every entry accounts zero bytes). A single entry larger
-	// than the whole budget is evicted at its own settle, after its value
-	// has been handed to the caller — a hard budget admits no oversized
-	// residents, it does not fail the Load.
-	Budget int
-	// SizeOf, when non-nil, is the per-value byte accounting hook: charged
-	// at settle, released at evict/remove, reported in Stats.Bytes and
-	// Stats.BytesAdded, and evicted against by Budget. Report the logical
-	// size here (what the value would occupy if it shared nothing).
-	SizeOf func(V) int
-	// Residency, when non-nil, estimates the host footprint of all settled
-	// values together for Stats.ResidentBytes — the hook where a client
-	// whose values share storage (copy-on-write snapshot images aliasing
-	// common pages) deduplicates. Called under the arena lock with a
-	// snapshot of the settled values; it must not re-enter the arena. When
-	// nil, ResidentBytes mirrors Bytes.
-	Residency func(vals []V) int
-	// BudgetResidency, when true (and both Budget and Residency are set),
-	// makes Budget evict against the Residency hook's deduplicated host
-	// footprint instead of the logical Stats.Bytes sum. Clients whose values
-	// share storage (snapshot images aliasing pooled pages) set it so shared
-	// pages are not multi-counted against the budget, which would evict
-	// earlier than the budget implies. Residency is recomputed per eviction
-	// iteration, so budget eviction costs O(entries) per victim — acceptable
-	// for the snapshot arena's entry counts.
-	BudgetResidency bool
 	// OnRelease, when non-nil, runs for every value leaving the arena
-	// (eviction, Remove, RemoveAll) — the client's close policy. It is
-	// always called OUTSIDE the arena lock: a hook may re-enter the arena
-	// or take arbitrarily long without deadlocking or stalling other
-	// callers.
+	// through Remove or RemoveAll — the client's close policy. It must be
+	// set before first use. It is always called OUTSIDE the arena lock: a
+	// hook may re-enter the arena or take arbitrarily long without
+	// deadlocking or stalling other callers.
 	OnRelease func(K, V)
 
-	mu         sync.Mutex
-	entries    map[K]*entry[K, V]
-	front      *entry[K, V] // most recently used
-	back       *entry[K, V] // least recently used
-	hits       uint64
-	misses     uint64
-	evictions  uint64
-	bytesAdded uint64
-	bytes      int
+	mu      sync.Mutex
+	entries map[K]*entry[K, V]
+	hits    uint64
+	misses  uint64
 }
 
 // Load returns the cached value for k, generating and caching it on a miss,
 // and reports whether the value came from cache. gen must be a pure
-// function of k (same key, same value). Misses are single-flighted per key.
-// A nil arena calls gen directly and reports hit=false.
+// function of k (same key, same value). Misses are single-flighted per key,
+// so two concurrent Loads of one key receive the SAME value — clients
+// caching mutable values (the machine pool) must partition their key space
+// so that never happens. A nil arena calls gen directly and reports
+// hit=false.
 func (a *Arena[K, V]) Load(k K, gen func() V) (V, bool) {
-	return a.load(k, gen, false)
-}
-
-// Acquire is Load plus pinning: the returned entry is marked in-use and
-// will not be evicted until a matching Release (or Remove). Pins nest.
-// Acquire shares the singleflight machinery, so two concurrent Acquires of
-// one key receive the SAME value — clients caching mutable values (the
-// machine pool) must partition their key space so that never happens.
-func (a *Arena[K, V]) Acquire(k K, gen func() V) (V, bool) {
-	return a.load(k, gen, true)
-}
-
-func (a *Arena[K, V]) load(k K, gen func() V, pin bool) (V, bool) {
 	if a == nil {
 		return gen(), false
 	}
 	for {
-		e, owner, hit := a.claim(k, pin)
+		e, owner, hit := a.claim(k)
 		if owner {
 			return a.generate(e, gen), false
 		}
@@ -169,14 +97,15 @@ func (a *Arena[K, V]) load(k K, gen func() V, pin bool) (V, bool) {
 		}
 		<-e.ready
 		if e.done {
-			a.lateHit(e, pin)
+			a.mu.Lock()
+			a.hits++
+			a.mu.Unlock()
 			return e.val, true
 		}
 		// The owner's generator panicked and the entry was unpublished;
 		// claim again (this caller may become the new owner and hit the
 		// same panic itself, which is the correct failure shape: the sweep
-		// engine contains generation panics per cell). The pin taken at
-		// claim died with the abandoned entry; re-claim re-pins.
+		// engine contains generation panics per cell).
 	}
 }
 
@@ -194,7 +123,6 @@ func (a *Arena[K, V]) Get(k K) (V, bool) {
 	defer a.mu.Unlock()
 	if e := a.entries[k]; e != nil && e.done {
 		a.hits++
-		a.touch(e)
 		return e.val, true
 	}
 	return zero, false
@@ -203,17 +131,11 @@ func (a *Arena[K, V]) Get(k K) (V, bool) {
 // claim returns k's entry and the caller's role: owner (a miss — the caller
 // must generate; counted as this Load's miss), hit (a settled entry;
 // counted as this Load's hit), or neither (an in-flight entry; the caller
-// waits and the outcome is counted when known). Hit-or-wait entries are
-// touched; pins are taken here, under the same lock, so a value returned
-// pinned can never have been evicted in between.
-func (a *Arena[K, V]) claim(k K, pin bool) (e *entry[K, V], owner, hit bool) {
+// waits and the outcome is counted when known).
+func (a *Arena[K, V]) claim(k K) (e *entry[K, V], owner, hit bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if e := a.entries[k]; e != nil {
-		if pin {
-			e.pins++
-		}
-		a.touch(e)
 		if e.done {
 			a.hits++
 			return e, false, true
@@ -225,167 +147,35 @@ func (a *Arena[K, V]) claim(k K, pin bool) (e *entry[K, V], owner, hit bool) {
 	}
 	a.misses++
 	e = &entry[K, V]{key: k, ready: make(chan struct{})}
-	if pin {
-		e.pins++
-	}
 	a.entries[k] = e
-	a.pushFront(e)
 	return e, true, false
-}
-
-// lateHit counts the hit of a waiter whose entry settled while it waited.
-// The entry may have been evicted between settle and wakeup — the value is
-// still returned (the Load did hit the cache), but only a still-published
-// entry is touched/re-pinned (touching an unlinked entry would corrupt the
-// LRU list).
-func (a *Arena[K, V]) lateHit(e *entry[K, V], pin bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.hits++
-	if a.entries[e.key] != e {
-		return
-	}
-	if pin {
-		// The claim-time pin survived settle; nothing further to take.
-		_ = e
-	}
-	a.touch(e)
 }
 
 // generate runs gen as e's owner. If gen panics, the pending entry is
 // unpublished and its waiters woken before the panic propagates — leaving
 // it would hang every later Load for the key on a never-closed ready
-// channel, wedging the sweep engine's panic containment.
+// channel, wedging the sweep engine's panic containment. No release hook
+// runs for an abandoned entry: its value was never set.
 func (a *Arena[K, V]) generate(e *entry[K, V], gen func() V) V {
+	settled := false
 	defer func() {
-		if !e.done {
-			a.abandon(e)
+		a.mu.Lock()
+		e.done = settled // readers touch val only once done is set
+		if !settled {
+			delete(a.entries, e.key)
 		}
+		a.mu.Unlock()
 		close(e.ready)
 	}()
 	e.val = gen() // outside the lock: generation is the expensive part
-	a.settle(e)
+	settled = true
 	return e.val
 }
 
-// abandon unpublishes a pending entry whose generation panicked. No release
-// hook runs: the value was never set.
-func (a *Arena[K, V]) abandon(e *entry[K, V]) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.unlink(e)
-	delete(a.entries, e.key)
-}
-
-// settle marks e's value generated (making it evictable), accounts its
-// bytes, and applies any over-cap eviction. Eviction is deferred to here
-// because an in-flight entry cannot be released and its waiters expect the
-// value to arrive.
-func (a *Arena[K, V]) settle(e *entry[K, V]) {
-	a.mu.Lock()
-	e.done = true
-	if a.SizeOf != nil {
-		e.bytes = a.SizeOf(e.val)
-		a.bytes += e.bytes
-		a.bytesAdded += uint64(e.bytes)
-	}
-	victims := a.evictOverLocked()
-	a.mu.Unlock()
-	a.runHooks(victims)
-}
-
-// evictOverLocked removes least-recently-used done, unpinned entries until
-// the arena fits both its entry cap and its byte budget, returning the
-// victims for the caller to run hooks on after unlocking. When everything
-// over the limit is still generating or pinned, it returns early — the
-// overflow shrinks at the next settle or Release. Caller holds mu.
-func (a *Arena[K, V]) evictOverLocked() []*entry[K, V] {
-	if a.Cap <= 0 && a.Budget <= 0 {
-		return nil
-	}
-	var victims []*entry[K, V]
-	for (a.Cap > 0 && len(a.entries) > a.Cap) || a.overBudgetLocked() {
-		var v *entry[K, V]
-		for c := a.back; c != nil; c = c.prev {
-			if c.done && c.pins == 0 {
-				v = c
-				break
-			}
-		}
-		if v == nil {
-			break
-		}
-		a.unlink(v)
-		delete(a.entries, v.key)
-		a.evictions++
-		a.bytes -= v.bytes
-		victims = append(victims, v)
-	}
-	return victims
-}
-
-// overBudgetLocked reports whether the byte budget is exceeded, charging
-// either the logical byte sum or (BudgetResidency) the Residency hook's
-// deduplicated footprint. Caller holds mu.
-func (a *Arena[K, V]) overBudgetLocked() bool {
-	if a.Budget <= 0 {
-		return false
-	}
-	if a.BudgetResidency && a.Residency != nil {
-		return a.residencyLocked() > a.Budget
-	}
-	return a.bytes > a.Budget
-}
-
-// residencyLocked computes the Residency hook's footprint over the settled
-// values. Caller holds mu (the hook's contract permits this: it is always
-// called under the arena lock and must not re-enter the arena).
-func (a *Arena[K, V]) residencyLocked() int {
-	vals := make([]V, 0, len(a.entries))
-	for _, e := range a.entries {
-		if e.done {
-			vals = append(vals, e.val)
-		}
-	}
-	return a.Residency(vals)
-}
-
-// runHooks applies the release hook to evicted/removed entries, outside
-// the lock.
-func (a *Arena[K, V]) runHooks(victims []*entry[K, V]) {
-	if a.OnRelease == nil {
-		return
-	}
-	for _, v := range victims {
-		a.OnRelease(v.key, v.val)
-	}
-}
-
-// Release undoes one Acquire pin and applies any pending cap overflow (a
-// pool whose cap is smaller than its pinned set transiently exceeds the
-// cap and shrinks here). Releasing an unpinned or absent key is a no-op.
-func (a *Arena[K, V]) Release(k K) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	if e := a.entries[k]; e != nil {
-		if e.pins > 0 {
-			e.pins--
-		}
-		a.touch(e)
-	}
-	victims := a.evictOverLocked()
-	a.mu.Unlock()
-	a.runHooks(victims)
-}
-
 // Remove drops k's settled value from the arena, running the release hook,
-// and reports whether anything was removed. Pinned entries ARE removed —
-// Remove is the caller-owns-it escape hatch (the sweep engine drops a
-// failed cell's machine while still holding its pin). In-flight entries are
-// not removable: a pending entry belongs to its generating owner and its
-// waiters. Remove is not counted in Stats.Evictions.
+// and reports whether anything was removed. In-flight entries are not
+// removable: a pending entry belongs to its generating owner and its
+// waiters.
 func (a *Arena[K, V]) Remove(k K) bool {
 	if a == nil {
 		return false
@@ -396,9 +186,7 @@ func (a *Arena[K, V]) Remove(k K) bool {
 		a.mu.Unlock()
 		return false
 	}
-	a.unlink(e)
-	delete(a.entries, e.key)
-	a.bytes -= e.bytes
+	delete(a.entries, k)
 	a.mu.Unlock()
 	if a.OnRelease != nil {
 		a.OnRelease(e.key, e.val)
@@ -406,9 +194,8 @@ func (a *Arena[K, V]) Remove(k K) bool {
 	return true
 }
 
-// RemoveAll drops every settled value, running release hooks, regardless of
-// pins. In-flight entries are left for their owners to settle. Like Remove,
-// it does not count into Stats.Evictions.
+// RemoveAll drops every settled value, running release hooks. In-flight
+// entries are left for their owners to settle.
 func (a *Arena[K, V]) RemoveAll() {
 	if a == nil {
 		return
@@ -416,21 +203,21 @@ func (a *Arena[K, V]) RemoveAll() {
 	a.mu.Lock()
 	var victims []*entry[K, V]
 	for k, e := range a.entries {
-		if !e.done {
-			continue
+		if e.done {
+			delete(a.entries, k)
+			victims = append(victims, e)
 		}
-		a.unlink(e)
-		delete(a.entries, k)
-		a.bytes -= e.bytes
-		victims = append(victims, e)
 	}
 	a.mu.Unlock()
-	a.runHooks(victims)
+	if a.OnRelease != nil {
+		for _, v := range victims {
+			a.OnRelease(v.key, v.val)
+		}
+	}
 }
 
 // Contains reports whether k is present (settled or in flight). The sweep
-// scheduler's affinity heuristic uses it; unlike Get it neither counts a
-// hit nor touches the entry.
+// scheduler's affinity heuristic uses it; unlike Get it counts no hit.
 func (a *Arena[K, V]) Contains(k K) bool {
 	if a == nil {
 		return false
@@ -441,56 +228,14 @@ func (a *Arena[K, V]) Contains(k K) bool {
 	return ok
 }
 
-// touch moves e to the front of the LRU list.
-func (a *Arena[K, V]) touch(e *entry[K, V]) {
-	if a.front == e {
-		return
-	}
-	a.unlink(e)
-	a.pushFront(e)
-}
-
-func (a *Arena[K, V]) pushFront(e *entry[K, V]) {
-	e.prev, e.next = nil, a.front
-	if a.front != nil {
-		a.front.prev = e
-	}
-	a.front = e
-	if a.back == nil {
-		a.back = e
-	}
-}
-
-func (a *Arena[K, V]) unlink(e *entry[K, V]) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		a.front = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		a.back = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-// Stats returns a snapshot of the arena's counters and gauges. Nil-safe.
+// Stats returns a snapshot of the arena's counters. Nil-safe.
 func (a *Arena[K, V]) Stats() Stats {
 	if a == nil {
 		return Stats{}
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	st := Stats{
-		Hits: a.hits, Misses: a.misses, Evictions: a.evictions,
-		BytesAdded: a.bytesAdded, Size: len(a.entries), Bytes: a.bytes,
-		ResidentBytes: a.bytes,
-	}
-	if a.Residency != nil {
-		st.ResidentBytes = a.residencyLocked()
-	}
-	return st
+	return Stats{Hits: a.hits, Misses: a.misses, Size: len(a.entries)}
 }
 
 // Len returns the number of entries (settled and in flight). Nil-safe.

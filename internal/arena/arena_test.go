@@ -1,7 +1,6 @@
 package arena
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -40,16 +39,12 @@ func TestNilArena(t *testing.T) {
 			t.Fatal("nil arena did not generate fresh")
 		}
 	}
-	if _, hit := a.Acquire(1, func() int { gens++; return 7 }); hit {
-		t.Fatal("nil arena reported an acquire hit")
-	}
-	if gens != 3 {
-		t.Fatalf("nil arena generated %d times, want 3", gens)
+	if gens != 2 {
+		t.Fatalf("nil arena generated %d times, want 2", gens)
 	}
 	if _, ok := a.Get(1); ok {
 		t.Fatal("nil arena Get reported ok")
 	}
-	a.Release(1)
 	if a.Remove(1) {
 		t.Fatal("nil arena removed something")
 	}
@@ -158,105 +153,25 @@ func TestPanicUnpublishes(t *testing.T) {
 	}
 }
 
-func TestCapEvictsLRU(t *testing.T) {
-	var a Arena[int, int]
-	a.Cap = 2
-	var evicted []int
-	a.OnRelease = func(k, _ int) { evicted = append(evicted, k) }
-	a.Load(1, func() int { return 1 })
-	a.Load(2, func() int { return 2 })
-	a.Load(1, func() int { return 1 }) // touch 1: now 2 is LRU
-	a.Load(3, func() int { return 3 }) // evicts 2
-	if len(evicted) != 1 || evicted[0] != 2 {
-		t.Fatalf("evicted %v, want [2]", evicted)
-	}
-	if _, hit := a.Load(1, func() int { return 1 }); !hit {
-		t.Fatal("survivor 1 was evicted")
-	}
-	if _, hit := a.Load(3, func() int { return 3 }); !hit {
-		t.Fatal("survivor 3 was evicted")
-	}
-	if st := a.Stats(); st.Evictions != 1 || st.Size != 2 {
-		t.Fatalf("stats = %+v, want 1 eviction / size 2", st)
-	}
-}
-
-// TestDoneOnlyEvictionWithSettleRetry: an in-flight entry is never evicted
-// even when it is over cap — a settled sibling is taken instead, and the
-// overflow resolves when the pending entry settles.
-func TestDoneOnlyEvictionWithSettleRetry(t *testing.T) {
-	var a Arena[int, int]
-	a.Cap = 1
-	var evicted []int
-	a.OnRelease = func(k, _ int) { evicted = append(evicted, k) }
-	entered := make(chan struct{})
-	proceed := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		a.Load(1, func() int { close(entered); <-proceed; return 1 })
-	}()
-	<-entered
-	// Over cap while 1 is pending: only the just-settled 2 is evictable.
-	a.Load(2, func() int { return 2 })
-	if len(evicted) != 1 || evicted[0] != 2 {
-		t.Fatalf("evicted %v, want [2] (pending entry must be skipped)", evicted)
-	}
-	close(proceed)
-	<-finished
-	if a.Len() != 1 || !a.Contains(1) {
-		t.Fatalf("after settle: len=%d contains(1)=%v, want the settled 1 only", a.Len(), a.Contains(1))
-	}
-}
-
-// TestPinBlocksEviction: an Acquired entry survives cap pressure until
-// Release, at which point the deferred eviction fires.
-func TestPinBlocksEviction(t *testing.T) {
-	var a Arena[int, int]
-	a.Cap = 1
-	var evicted []int
-	a.OnRelease = func(k, _ int) { evicted = append(evicted, k) }
-	a.Acquire(1, func() int { return 1 })
-	a.Load(2, func() int { return 2 }) // 2 settles over cap; 1 is pinned, so 2 self-evicts
-	if len(evicted) != 1 || evicted[0] != 2 {
-		t.Fatalf("evicted %v, want [2] (pinned 1 must survive)", evicted)
-	}
-	if !a.Contains(1) {
-		t.Fatal("pinned entry evicted")
-	}
-	// A second pinned entry pushes the pool transiently over cap.
-	a.Acquire(3, func() int { return 3 })
-	if a.Len() != 2 {
-		t.Fatalf("len = %d, want 2 pinned over cap", a.Len())
-	}
-	a.Release(1) // 1 unpinned: the overflow eviction fires on it
-	if len(evicted) != 2 || evicted[1] != 1 {
-		t.Fatalf("evicted %v, want [2 1]", evicted)
-	}
-	a.Release(3)
-	if a.Len() != 1 || !a.Contains(3) {
-		t.Fatal("released 3 should remain as the single cached entry")
-	}
-}
-
 // TestReleaseHookOutsideLock: a hook that re-enters the arena must not
 // deadlock (the old input arena closed values while holding its mutex).
 func TestReleaseHookOutsideLock(t *testing.T) {
 	var a Arena[int, int]
-	a.Cap = 1
 	var reentered atomic.Bool
 	a.OnRelease = func(k, _ int) {
 		if _, ok := a.Get(k); ok { // re-enters the arena mutex
-			t.Errorf("evicted key %d still present", k)
+			t.Errorf("removed key %d still present", k)
 		}
 		_ = a.Stats()
 		reentered.Store(true)
 	}
 	a.Load(1, func() int { return 1 })
+	a.Load(2, func() int { return 2 })
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		a.Load(2, func() int { return 2 }) // evicts 1, hook re-enters
+		a.Remove(1)   // hook re-enters
+		a.RemoveAll() // and again, for the bulk path
 	}()
 	select {
 	case <-done:
@@ -268,8 +183,8 @@ func TestReleaseHookOutsideLock(t *testing.T) {
 	}
 }
 
-// TestRemoveSemantics: Remove takes settled (even pinned) entries, runs the
-// hook, and is not an eviction; pending entries are not removable.
+// TestRemoveSemantics: Remove takes settled entries and runs the hook;
+// pending entries are not removable; RemoveAll empties the arena.
 func TestRemoveSemantics(t *testing.T) {
 	var a Arena[int, int]
 	removed := 0
@@ -277,9 +192,9 @@ func TestRemoveSemantics(t *testing.T) {
 	if a.Remove(1) {
 		t.Fatal("removed an absent key")
 	}
-	a.Acquire(1, func() int { return 1 })
+	a.Load(1, func() int { return 1 })
 	if !a.Remove(1) {
-		t.Fatal("pinned settled entry not removable")
+		t.Fatal("settled entry not removable")
 	}
 	if removed != 1 || a.Contains(1) {
 		t.Fatalf("after remove: hooks=%d contains=%v", removed, a.Contains(1))
@@ -301,34 +216,6 @@ func TestRemoveSemantics(t *testing.T) {
 	a.RemoveAll()
 	if a.Len() != 0 || removed != 3 {
 		t.Fatalf("after RemoveAll: len=%d hooks=%d, want 0 and 3", a.Len(), removed)
-	}
-	if st := a.Stats(); st.Evictions != 0 {
-		t.Fatalf("Remove/RemoveAll counted %d evictions, want 0", st.Evictions)
-	}
-}
-
-func TestByteAccounting(t *testing.T) {
-	var a Arena[int, []byte]
-	a.Cap = 2
-	a.SizeOf = func(v []byte) int { return len(v) }
-	a.Load(1, func() []byte { return make([]byte, 10) })
-	a.Load(2, func() []byte { return make([]byte, 20) })
-	st := a.Stats()
-	if st.Bytes != 30 || st.BytesAdded != 30 {
-		t.Fatalf("stats = %+v, want 30 resident / 30 added", st)
-	}
-	a.Load(3, func() []byte { return make([]byte, 5) }) // evicts 1
-	st = a.Stats()
-	if st.Bytes != 25 || st.BytesAdded != 35 {
-		t.Fatalf("after eviction: %+v, want 25 resident / 35 added", st)
-	}
-	a.Remove(2)
-	if st := a.Stats(); st.Bytes != 5 {
-		t.Fatalf("after remove: %d resident bytes, want 5", st.Bytes)
-	}
-	a.RemoveAll()
-	if st := a.Stats(); st.Bytes != 0 {
-		t.Fatalf("after RemoveAll: %d resident bytes, want 0", st.Bytes)
 	}
 }
 
@@ -366,21 +253,18 @@ func TestGetFastPath(t *testing.T) {
 }
 
 // FuzzArena churns a small arena from several goroutines with every public
-// operation — Load (some generations panic), Acquire/Release, Remove, Get —
-// under fuzzed cap and key-range parameters, then checks the structural
-// invariants: the cap holds once churn settles, gauges match, and every
-// value that ever settled is released by exactly one hook call (no leak, no
-// double-close). Wired into the CI fuzz smoke.
+// operation — Load (some generations panic), Get, Remove, RemoveAll — under
+// a fuzzed key range, then checks the structural invariants: the Size gauge
+// matches Len, RemoveAll empties the arena, and every value that ever
+// settled is released by exactly one hook call (no leak, no double-close).
+// Wired into the CI fuzz smoke.
 func FuzzArena(f *testing.F) {
-	f.Add(uint64(1), uint8(4), uint8(8))
-	f.Add(uint64(42), uint8(0), uint8(3))
-	f.Add(uint64(7), uint8(1), uint8(1))
-	f.Fuzz(func(t *testing.T, seed uint64, capB, keysB uint8) {
-		capN := int(capB % 8)     // 0 = unbounded
+	f.Add(uint64(1), uint8(8))
+	f.Add(uint64(42), uint8(3))
+	f.Add(uint64(7), uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, keysB uint8) {
 		keys := int(keysB%16) + 1 // 1..16
 		var a Arena[int, int]
-		a.Cap = capN
-		a.SizeOf = func(int) int { return 1 }
 		var released, settled atomic.Int64
 		a.OnRelease = func(_, _ int) { released.Add(1) }
 		const workers = 4
@@ -398,8 +282,8 @@ func FuzzArena(f *testing.F) {
 				}
 				for i := 0; i < 200; i++ {
 					k := int(next() % uint64(keys))
-					switch next() % 8 {
-					case 0: // generation that may panic
+					switch next() % 16 {
+					case 0, 1: // generation that may panic
 						boom := next()%2 == 0
 						func() {
 							defer func() { recover() }()
@@ -411,15 +295,11 @@ func FuzzArena(f *testing.F) {
 								return k
 							})
 						}()
-					case 1, 2:
-						v, _ := a.Acquire(k, func() int { settled.Add(1); return k })
-						if v != k {
-							t.Errorf("Acquire(%d) = %d", k, v)
-						}
-						a.Release(k)
-					case 3:
+					case 2, 3:
 						a.Remove(k)
 					case 4:
+						a.RemoveAll()
+					case 5, 6:
 						if v, ok := a.Get(k); ok && v != k {
 							t.Errorf("Get(%d) = %d", k, v)
 						}
@@ -433,111 +313,17 @@ func FuzzArena(f *testing.F) {
 			}(w)
 		}
 		wg.Wait()
-		a.Release(0) // flush any eviction deferred past the last settle
-		if capN > 0 && a.Len() > capN {
-			t.Errorf("settled arena holds %d entries over cap %d", a.Len(), capN)
-		}
-		st := a.Stats()
-		if st.Size != a.Len() {
-			t.Errorf("Size gauge %d != Len %d", st.Size, a.Len())
-		}
-		if st.Bytes != st.Size {
-			t.Errorf("Bytes gauge %d != Size %d with SizeOf=1", st.Bytes, st.Size)
+		if st := a.Stats(); st.Size != a.Len() || st.Size > keys {
+			t.Errorf("Size gauge %d, Len %d, keys %d", st.Size, a.Len(), keys)
 		}
 		a.RemoveAll()
 		if a.Len() != 0 {
 			t.Errorf("RemoveAll left %d entries", a.Len())
 		}
-		if st := a.Stats(); st.Bytes != 0 {
-			t.Errorf("Bytes gauge %d after RemoveAll, want 0", st.Bytes)
-		}
 		// Exactly-once release: every settled value left through exactly one
-		// hook call (eviction, Remove, or the RemoveAll above).
+		// hook call (Remove, or a RemoveAll).
 		if released.Load() != settled.Load() {
 			t.Errorf("released %d values, settled %d — leak or double-release", released.Load(), settled.Load())
 		}
 	})
-}
-
-// TestBudgetEvictsLRU: the byte budget evicts least-recently-used settled
-// entries until the accounted bytes are back under budget, independently of
-// (and composably with) the entry cap.
-func TestBudgetEvictsLRU(t *testing.T) {
-	var a Arena[int, []byte]
-	a.Budget = 30
-	a.SizeOf = func(v []byte) int { return len(v) }
-	var evicted []int
-	a.OnRelease = func(k int, _ []byte) { evicted = append(evicted, k) }
-	a.Load(1, func() []byte { return make([]byte, 10) })
-	a.Load(2, func() []byte { return make([]byte, 10) })
-	a.Load(3, func() []byte { return make([]byte, 10) }) // exactly at budget: no eviction
-	if len(evicted) != 0 {
-		t.Fatalf("evicted %v at exactly the budget, want none", evicted)
-	}
-	a.Load(1, func() []byte { return nil })              // touch 1: 2 is now LRU
-	a.Load(4, func() []byte { return make([]byte, 10) }) // 40 > 30: evicts 2
-	if len(evicted) != 1 || evicted[0] != 2 {
-		t.Fatalf("evicted %v, want [2]", evicted)
-	}
-	if st := a.Stats(); st.Bytes != 30 || st.Size != 3 {
-		t.Fatalf("stats = %+v, want 30 bytes over 3 entries", st)
-	}
-	// One entry nearly the whole budget: 3, 1, and 4 all go (LRU order)
-	// before the bytes fit again, leaving the newcomer alone.
-	a.Load(5, func() []byte { return make([]byte, 25) })
-	if st := a.Stats(); st.Bytes != 25 || st.Size != 1 {
-		t.Fatalf("stats = %+v, want the 25-byte newcomer alone", st)
-	}
-	if want := []int{2, 3, 1, 4}; !slices.Equal(evicted, want) {
-		t.Fatalf("evicted %v, want %v", evicted, want)
-	}
-}
-
-// TestBudgetOversizeEntry: an entry bigger than the whole budget is still
-// generated and returned (callers get their value), then evicted at its own
-// settle — the arena never caches something it cannot afford, and never
-// blocks the load.
-func TestBudgetOversizeEntry(t *testing.T) {
-	var a Arena[int, []byte]
-	a.Budget = 10
-	a.SizeOf = func(v []byte) int { return len(v) }
-	v, hit := a.Load(1, func() []byte { return make([]byte, 100) })
-	if hit || len(v) != 100 {
-		t.Fatalf("oversize load returned len=%d hit=%v, want the generated value", len(v), hit)
-	}
-	if st := a.Stats(); st.Bytes != 0 || st.Size != 0 || st.Evictions != 1 {
-		t.Fatalf("oversize entry not self-evicted: %+v", st)
-	}
-	// Budget pressure never evicts a pinned entry, even oversize.
-	a.Acquire(2, func() []byte { return make([]byte, 50) })
-	if !a.Contains(2) {
-		t.Fatal("pinned oversize entry evicted under budget pressure")
-	}
-	a.Release(2)
-	if a.Contains(2) {
-		t.Fatal("oversize entry survived its release")
-	}
-}
-
-// TestResidencyHook: Stats.ResidentBytes mirrors Bytes by default and is
-// overridden by the Residency hook, which sees exactly the settled values.
-func TestResidencyHook(t *testing.T) {
-	var a Arena[int, []byte]
-	a.SizeOf = func(v []byte) int { return len(v) }
-	a.Load(1, func() []byte { return make([]byte, 10) })
-	if st := a.Stats(); st.ResidentBytes != st.Bytes {
-		t.Fatalf("default ResidentBytes = %d, want Bytes = %d", st.ResidentBytes, st.Bytes)
-	}
-	var saw int
-	a.Residency = func(vals [][]byte) int {
-		saw = len(vals)
-		return 7
-	}
-	a.Load(2, func() []byte { return make([]byte, 20) })
-	if st := a.Stats(); st.ResidentBytes != 7 || st.Bytes != 30 {
-		t.Fatalf("hooked stats = %+v, want ResidentBytes 7 alongside Bytes 30", st)
-	}
-	if saw != 2 {
-		t.Fatalf("residency hook saw %d values, want 2", saw)
-	}
 }

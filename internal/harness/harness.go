@@ -358,14 +358,6 @@ type Options struct {
 	// builds each (worker, configuration) machine once across all its
 	// figure sweeps. Only meaningful under ReuseOn.
 	MachinePool *sweep.MachinePool
-	// MachineCap / InputCap / SnapshotCap bound the engine-built machine
-	// pool and arenas with LRU eviction; 0 (default) is unbounded. External
-	// pools/arenas carry their own caps.
-	MachineCap, InputCap, SnapshotCap int
-	// InputBudget / SnapshotBudget bound the engine-built arenas by bytes
-	// (estimated deep bytes for inputs, logical image bytes for snapshots);
-	// 0 (default) is unbounded. External arenas carry their own budgets.
-	InputBudget, SnapshotBudget int
 	// DetSample/DetSampleSeed select the determinism oracle's sampled mode
 	// for the conformance experiment; zero DetSample re-runs every cell.
 	DetSample     float64
@@ -378,7 +370,7 @@ type Options struct {
 	// once. Oracle never passes it on — the determinism gates re-simulate.
 	Memo *sweep.Memo
 	// Metrics, when non-nil, accumulates host-side lifecycle counters
-	// (machines built/reused/evicted, input arena hits/misses) across every
+	// (machines built/reused, input arena hits/misses) across every
 	// sweep run with these options.
 	Metrics *sweep.RunMetrics
 }
@@ -396,8 +388,6 @@ func (o Options) Engine() *sweep.Engine {
 		Workers: o.Workers, Sinks: o.Sinks, FailFast: true,
 		Reuse: o.Reuse, InputMode: o.Inputs, SnapshotMode: o.Snapshots,
 		Inputs: o.InputArena, Snapshots: o.SnapshotArena, Machines: o.MachinePool,
-		MachineCap: o.MachineCap, InputCap: o.InputCap, SnapshotCap: o.SnapshotCap,
-		InputBudget: o.InputBudget, SnapshotBudget: o.SnapshotBudget,
 		Memo: o.Memo, Metrics: o.Metrics,
 	}
 }
@@ -405,22 +395,17 @@ func (o Options) Engine() *sweep.Engine {
 // Oracle translates the options into the conformance-oracle configuration.
 func (o Options) Oracle() sweep.OracleOptions {
 	return sweep.OracleOptions{
-		Workers:        o.Workers,
-		Reuse:          o.Reuse,
-		InputMode:      o.Inputs,
-		Snapshots:      o.Snapshots,
-		InputArena:     o.InputArena,
-		SnapshotArena:  o.SnapshotArena,
-		MachinePool:    o.MachinePool,
-		MachineCap:     o.MachineCap,
-		InputCap:       o.InputCap,
-		SnapshotCap:    o.SnapshotCap,
-		InputBudget:    o.InputBudget,
-		SnapshotBudget: o.SnapshotBudget,
-		DetSample:      o.DetSample,
-		DetSampleSeed:  o.DetSampleSeed,
-		Sinks:          o.Sinks,
-		Metrics:        o.Metrics,
+		Workers:       o.Workers,
+		Reuse:         o.Reuse,
+		InputMode:     o.Inputs,
+		Snapshots:     o.Snapshots,
+		InputArena:    o.InputArena,
+		SnapshotArena: o.SnapshotArena,
+		MachinePool:   o.MachinePool,
+		DetSample:     o.DetSample,
+		DetSampleSeed: o.DetSampleSeed,
+		Sinks:         o.Sinks,
+		Metrics:       o.Metrics,
 	}
 }
 

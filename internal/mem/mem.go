@@ -375,9 +375,8 @@ type StoreImage struct {
 func (img *StoreImage) Lines() int { return img.lines }
 
 // Bytes returns the logical size of the image's page payloads — what a
-// whole-page-copy image would occupy, and the unit the snapshot arena's
-// logical-bytes telemetry reports. The resident (host) footprint is smaller
-// whenever pages are shared with live stores or sibling images.
+// whole-page-copy image would occupy. The resident (host) footprint is
+// smaller whenever pages are shared with live stores or sibling images.
 func (img *StoreImage) Bytes() int { return len(img.pages) * pageBytes }
 
 // Pages returns the number of pages the image references.
@@ -428,42 +427,15 @@ func (s *Store) Restore(img *StoreImage) {
 	}
 }
 
-// ResidentPageBytes returns the host footprint of the distinct page
-// payloads the given images reference: a page shared by several images
-// (captured from stores that themselves restored from a common ancestor)
-// is counted once. With no sharing this equals the sum of Bytes; the
-// snapshot arena reports it as resident bytes next to the logical sum.
-func ResidentPageBytes(imgs []*StoreImage) int {
-	seen := make(map[*pageData]struct{})
-	for _, img := range imgs {
-		if img == nil {
-			continue
-		}
-		for i := range img.pages {
-			seen[img.pages[i].data] = struct{}{}
-		}
-	}
-	return len(seen) * pageBytes
-}
-
-// poolPage is one canonical page in a PagePool's digest chain, refcounted by
-// the number of Intern calls that resolved to it (minus Releases).
-type poolPage struct {
-	data *pageData
-	refs int
-}
-
 // PagePool is a content-addressed registry of sealed page payloads. Interning
 // an image rewrites each of its page pointers to the pool's canonical page
 // with the same content, so images captured from unrelated stores — different
 // arena keys, different sweeps — alias one physical payload whenever the
-// bytes match. Pointer-identity dedup (ResidentPageBytes) then reports true
-// cross-image content dedup for free. Entries are refcounted: Release drops
-// an image's references and forgets payloads nothing else holds, so the pool
-// never outgrows the set of live interned images. Safe for concurrent use.
+// bytes match. The pool lives as long as its owner (the snapshot arena) and
+// never forgets a payload. Safe for concurrent use.
 type PagePool struct {
 	mu    sync.Mutex
-	pages map[uint64][]*poolPage // digest → collision chain
+	pages map[uint64][]*pageData // digest → collision chain
 
 	interned       uint64 // pages inserted as new canonical payloads
 	deduped        uint64 // pages resolved to an existing canonical payload
@@ -472,14 +444,13 @@ type PagePool struct {
 
 // NewPagePool returns an empty pool.
 func NewPagePool() *PagePool {
-	return &PagePool{pages: make(map[uint64][]*poolPage)}
+	return &PagePool{pages: make(map[uint64][]*pageData)}
 }
 
 // Intern registers every page of img in the pool, rewriting img's page
 // pointers to the canonical payloads. img must be sealed (i.e. produced by
 // Store.Snapshot) and not yet visible to concurrent readers — interning
-// mutates its page table. Each Intern must be balanced by exactly one
-// Release with the same (post-intern) image.
+// mutates its page table.
 func (p *PagePool) Intern(img *StoreImage) {
 	if p == nil || img == nil {
 		return
@@ -489,59 +460,25 @@ func (p *PagePool) Intern(img *StoreImage) {
 	for i := range img.pages {
 		ip := &img.pages[i]
 		chain := p.pages[ip.data.digest]
-		var found *poolPage
+		var found *pageData
 		for _, c := range chain {
-			if c.data == ip.data {
+			if c == ip.data {
 				found = c
 				break
 			}
-			if contentEqual(c.data, ip.data) {
+			if contentEqual(c, ip.data) {
 				found = c
 				p.contentDeduped++
 				break
 			}
 		}
 		if found != nil {
-			found.refs++
 			p.deduped++
-			ip.data = found.data
+			ip.data = found
 			continue
 		}
-		p.pages[ip.data.digest] = append(chain, &poolPage{data: ip.data, refs: 1})
+		p.pages[ip.data.digest] = append(chain, ip.data)
 		p.interned++
-	}
-}
-
-// Release drops the references a previous Intern of img took, forgetting
-// canonical payloads whose refcount reaches zero. The image itself remains
-// valid — its pages are kept alive by the image's own pointers until the GC
-// collects the image.
-func (p *PagePool) Release(img *StoreImage) {
-	if p == nil || img == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := range img.pages {
-		ip := &img.pages[i]
-		d := ip.data.digest
-		chain := p.pages[d]
-		for ci, c := range chain {
-			if c.data != ip.data {
-				continue
-			}
-			c.refs--
-			if c.refs == 0 {
-				chain[ci] = chain[len(chain)-1]
-				chain = chain[:len(chain)-1]
-				if len(chain) == 0 {
-					delete(p.pages, d)
-				} else {
-					p.pages[d] = chain
-				}
-			}
-			break
-		}
 	}
 }
 
@@ -560,15 +497,11 @@ func (p *PagePool) Stats() PagePoolStats {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := 0
-	for _, chain := range p.pages {
-		n += len(chain)
-	}
 	return PagePoolStats{
 		Interned:       p.interned,
 		Deduped:        p.deduped,
 		ContentDeduped: p.contentDeduped,
-		Pages:          n,
+		Pages:          int(p.interned), // the pool never forgets a page
 	}
 }
 

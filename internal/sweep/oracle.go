@@ -98,12 +98,6 @@ type DeterminismOptions struct {
 	// Snapshots is the machine-image snapshot policy of the re-run engine;
 	// see InputMode for why no external arena is accepted here.
 	Snapshots SnapshotMode
-	// MachineCap / InputCap / SnapshotCap bound the re-run engine's pools
-	// (Engine semantics); 0 is unbounded.
-	MachineCap, InputCap, SnapshotCap int
-	// InputBudget / SnapshotBudget bound the re-run engine's arenas by
-	// bytes (Engine semantics); 0 is unbounded.
-	InputBudget, SnapshotBudget int
 	// Metrics, when non-nil, accumulates the re-run engine's host-side
 	// lifecycle counters.
 	Metrics *RunMetrics
@@ -166,8 +160,6 @@ func CheckDeterminismOpts(rs Results, o DeterminismOptions) error {
 	}
 	eng := Engine{
 		Workers: o.Workers, Reuse: o.Reuse, InputMode: o.InputMode, SnapshotMode: o.Snapshots,
-		MachineCap: o.MachineCap, InputCap: o.InputCap, SnapshotCap: o.SnapshotCap,
-		InputBudget: o.InputBudget, SnapshotBudget: o.SnapshotBudget,
 		Metrics: o.Metrics,
 	}
 	rerun, err := eng.Run(cells)
@@ -212,13 +204,6 @@ type OracleOptions struct {
 	// re-run never inherits it — like the arenas, the re-run builds its own
 	// machines so a machine-lifecycle bug gets a chance to diverge.
 	MachinePool *MachinePool
-	// MachineCap / InputCap / SnapshotCap bound both runs' machine pools
-	// and arenas (Engine semantics); 0 is unbounded.
-	MachineCap, InputCap, SnapshotCap int
-	// InputBudget / SnapshotBudget bound both runs' engine-built arenas by
-	// bytes (Engine semantics); 0 is unbounded. External arenas carry
-	// their own budgets.
-	InputBudget, SnapshotBudget int
 	// DetSample / DetSampleSeed select the determinism oracle's sampled
 	// mode (DeterminismOptions.Sample semantics); zero means full.
 	DetSample     float64
@@ -247,8 +232,6 @@ func ConformanceOpts(mx Matrix, o OracleOptions) (Results, error) {
 	eng := Engine{
 		Workers: o.Workers, Sinks: o.Sinks, Reuse: o.Reuse, InputMode: o.InputMode, SnapshotMode: o.Snapshots,
 		Inputs: o.InputArena, Snapshots: o.SnapshotArena, Machines: o.MachinePool,
-		MachineCap: o.MachineCap, InputCap: o.InputCap, SnapshotCap: o.SnapshotCap,
-		InputBudget: o.InputBudget, SnapshotBudget: o.SnapshotBudget,
 		Metrics: o.Metrics,
 	}
 	cells := mx.Cells()
@@ -268,8 +251,6 @@ func ConformanceOpts(mx Matrix, o OracleOptions) (Results, error) {
 	// independently (see DeterminismOptions.InputMode).
 	det := DeterminismOptions{
 		Workers: o.Workers, Reuse: o.Reuse, InputMode: o.InputMode, Snapshots: o.Snapshots,
-		MachineCap: o.MachineCap, InputCap: o.InputCap, SnapshotCap: o.SnapshotCap,
-		InputBudget: o.InputBudget, SnapshotBudget: o.SnapshotBudget,
 		Metrics: o.Metrics, Sample: o.DetSample, SampleSeed: o.DetSampleSeed,
 	}
 	if err := CheckDeterminismOpts(rs, det); err != nil {

@@ -208,33 +208,27 @@ func RunCell(c Cell) Result { return runCell(c, nil, nil, nil, nil, nil) }
 
 // RunMetrics accumulates host-side lifecycle counters across engine runs:
 // how many machines were built versus Reset-reused (the duplicate-machine
-// cost of tail stealing shows up in MachinesBuilt), how many were evicted
-// by the machine cap, and the input arena's cache behavior. Fields are
-// updated atomically by concurrent workers; read them only after Run
-// returns (or via a snapshot copy). Sharing one RunMetrics across several
-// engine runs accumulates totals — cmd/commtm-bench reports it per
-// experiment in its host-metrics line.
+// cost of tail stealing shows up in MachinesBuilt), and the input and
+// snapshot arenas' cache behavior. Fields are updated atomically by
+// concurrent workers; read them only after Run returns (or via a snapshot
+// copy). Sharing one RunMetrics across several engine runs accumulates
+// totals — cmd/commtm-bench reports it per experiment in its host-metrics
+// line.
 type RunMetrics struct {
 	// Result-memo counters (Engine.Memo): a hit is a cell that took another
 	// cell's memoized result and simulated nothing; a miss is a cell that
 	// consulted the memo and simulated. Cells the memo cannot key (no
 	// canonical params) and memo-less runs count as neither.
-	MemoHits        int64 `json:"memo_hits"`
-	MemoMisses      int64 `json:"memo_misses"`
-	MachinesBuilt   int64 `json:"machines_built"`
-	MachineReuses   int64 `json:"machine_reuses"`
-	MachinesEvicted int64 `json:"machines_evicted"`
-	InputHits       int64 `json:"input_hits"`
-	InputMisses     int64 `json:"input_misses"`
-	InputEvictions  int64 `json:"input_evictions"`
+	MemoHits      int64 `json:"memo_hits"`
+	MemoMisses    int64 `json:"memo_misses"`
+	MachinesBuilt int64 `json:"machines_built"`
+	MachineReuses int64 `json:"machine_reuses"`
+	InputHits     int64 `json:"input_hits"`
+	InputMisses   int64 `json:"input_misses"`
 	// Snapshot arena behavior: a hit is a cell that skipped Setup via
-	// Machine.Restore; SnapshotBytes counts the image bytes captured (a
-	// cumulative cost counter, not the arena's resident size — the arena's
-	// own Stats reports that gauge).
-	SnapshotHits      int64 `json:"snapshot_hits"`
-	SnapshotMisses    int64 `json:"snapshot_misses"`
-	SnapshotEvictions int64 `json:"snapshot_evictions"`
-	SnapshotBytes     int64 `json:"snapshot_bytes"`
+	// Machine.Restore; a miss is a cell that ran Setup and captured.
+	SnapshotHits   int64 `json:"snapshot_hits"`
+	SnapshotMisses int64 `json:"snapshot_misses"`
 	// Split-image counters (thread-invariant workloads): a base hit is a
 	// whole Setup skipped because another geometry's cell already captured
 	// the config-modulo-threads base; base misses count distinct bases
@@ -271,14 +265,13 @@ type RunMetrics struct {
 	MaxCellWallNS int64 `json:"max_cell_wall_ns"`
 }
 
-// add accumulates (atomically) into rm; nil-safe.
-func (rm *RunMetrics) add(built, reuses, evicted int64) {
+// addBuilt counts (atomically) one unpooled machine build into rm;
+// nil-safe.
+func (rm *RunMetrics) addBuilt() {
 	if rm == nil {
 		return
 	}
-	atomic.AddInt64(&rm.MachinesBuilt, built)
-	atomic.AddInt64(&rm.MachineReuses, reuses)
-	atomic.AddInt64(&rm.MachinesEvicted, evicted)
+	atomic.AddInt64(&rm.MachinesBuilt, 1)
 }
 
 // addMemo accumulates (atomically) result-memo hits and misses into rm;
@@ -292,14 +285,13 @@ func (rm *RunMetrics) addMemo(hits, misses int64) {
 }
 
 // addMachines folds a machine pool's per-run stat deltas into rm: misses
-// are machine builds, hits are Reset-reuses, evictions are cap evictions.
+// are machine builds, hits are Reset-reuses.
 func (rm *RunMetrics) addMachines(s PoolStats) {
 	if rm == nil {
 		return
 	}
 	atomic.AddInt64(&rm.MachinesBuilt, int64(s.Misses))
 	atomic.AddInt64(&rm.MachineReuses, int64(s.Hits))
-	atomic.AddInt64(&rm.MachinesEvicted, int64(s.Evictions))
 }
 
 // addInputs folds an input arena's per-run stat deltas into rm.
@@ -309,7 +301,6 @@ func (rm *RunMetrics) addInputs(s inputs.Stats) {
 	}
 	atomic.AddInt64(&rm.InputHits, int64(s.Hits))
 	atomic.AddInt64(&rm.InputMisses, int64(s.Misses))
-	atomic.AddInt64(&rm.InputEvictions, int64(s.Evictions))
 }
 
 // addCow folds one cell's copy-on-write page telemetry into rm.
@@ -344,8 +335,6 @@ func (rm *RunMetrics) addSnapshots(s snapshots.Stats) {
 	}
 	atomic.AddInt64(&rm.SnapshotHits, int64(s.Hits))
 	atomic.AddInt64(&rm.SnapshotMisses, int64(s.Misses))
-	atomic.AddInt64(&rm.SnapshotEvictions, int64(s.Evictions))
-	atomic.AddInt64(&rm.SnapshotBytes, int64(s.BytesAdded))
 	atomic.AddInt64(&rm.SnapshotBaseHits, int64(s.BaseHits))
 	atomic.AddInt64(&rm.SnapshotBaseMisses, int64(s.BaseMisses))
 	atomic.AddInt64(&rm.PagesInterned, int64(s.PagesInterned))
@@ -394,32 +383,25 @@ type poolKey struct {
 
 // PoolStats is the machine pool's stats snapshot — the generic arena's,
 // re-exported so cmd/commtm-bench can report it without importing
-// internal/arena. Misses are machine builds, Hits are Reset-reuses,
-// Evictions are cap evictions (Close on drop or pool Close is not an
-// eviction).
+// internal/arena. Misses are machine builds, Hits are Reset-reuses.
 type PoolStats = arena.Stats
 
 // MachinePool is the machine arena shared by every worker of an engine run
 // — or, when handed to Engine.Machines, by every run of a process: a
 // commtm-bench invocation sweeping many figures pools machines across all
 // of them, the way Engine.Inputs and Engine.Snapshots already share their
-// arenas. It is the generic arena core's third client: the old
-// poolLimiter's global cap and in-use pinning are expressed through the
-// core's eviction machinery (done-only LRU, pins, release hooks), with
-// Close-on-evict as the release hook — machines hold coroutine pools that
-// must be released, not just dropped. A nil *MachinePool is valid and pools
-// nothing.
+// arenas. It is a client of the generic arena core, unbounded for the life
+// of its owner: a machine leaves only when a failed cell's worker drops it
+// or when the pool is closed, and either way the release hook Closes it —
+// machines hold coroutine pools that must be released, not just dropped. A
+// nil *MachinePool is valid and pools nothing.
 type MachinePool struct {
 	c arena.Arena[poolKey, *commtm.Machine]
 }
 
-// NewMachinePool returns a pool holding at most cap machines across all
-// workers, closing the least recently used beyond that; cap <= 0 means
-// unbounded (a single sweep's pool is naturally bounded by workers ×
-// configurations, so the CLI default is 0).
-func NewMachinePool(cap int) *MachinePool {
+// NewMachinePool returns an empty pool.
+func NewMachinePool() *MachinePool {
 	p := &MachinePool{}
-	p.c.Cap = cap
 	p.c.OnRelease = closeMachine
 	return p
 }
@@ -457,8 +439,8 @@ func (p *MachinePool) Close() {
 
 // workerMachines is one worker's view of the shared pool: every key it
 // touches carries its worker index, so its machines are private even though
-// the pool (and its cap) is global. A nil *workerMachines always builds
-// fresh without pooling.
+// the pool is global. A nil *workerMachines always builds fresh without
+// pooling.
 type workerMachines struct {
 	pool *MachinePool
 	w    int
@@ -466,33 +448,23 @@ type workerMachines struct {
 
 // acquire returns a machine for c — a pooled machine of the right
 // configuration when the worker has one, else a freshly built (and pooled)
-// one — pinned against cap eviction until release or drop. reused reports
-// whether the machine carries a previous cell's state: the CALLER resets it
-// (or restores a snapshot over it, which resets internally — resetting here
-// too was the double-reset bug this split fixes).
+// one. reused reports whether the machine carries a previous cell's state:
+// the CALLER resets it (or restores a snapshot over it, which resets
+// internally — resetting here too was the double-reset bug this split
+// fixes).
 func (wm *workerMachines) acquire(c Cell) (m *commtm.Machine, reused bool) {
 	if wm == nil {
 		return commtm.New(c.Config()), false
 	}
-	return wm.pool.c.Acquire(poolKey{wm.w, arenaKey(c)}, func() *commtm.Machine {
+	return wm.pool.c.Load(poolKey{wm.w, arenaKey(c)}, func() *commtm.Machine {
 		return commtm.New(c.Config()) // outside the arena lock: construction is heavy
 	})
-}
-
-// release unpins c's machine (making it cap-evictable) after a successful
-// cell and applies any pending cap overflow.
-func (wm *workerMachines) release(c Cell) {
-	if wm == nil {
-		return
-	}
-	wm.pool.c.Release(poolKey{wm.w, arenaKey(c)})
 }
 
 // drop discards (and Closes) the worker's machine for c's configuration.
 // Workers call it when a cell fails: Reset is designed to recover even a
 // panic-drained machine, but a failed cell's machine is cheap to rebuild
-// and dropping it removes any doubt. Remove takes even pinned entries, so
-// the still-held acquire pin does not keep the suspect machine alive.
+// and dropping it removes any doubt.
 func (wm *workerMachines) drop(c Cell) {
 	if wm == nil {
 		return
@@ -540,10 +512,8 @@ func runCell(c Cell, wm *workerMachines, ia *inputs.Arena, sa *snapshots.Arena, 
 		if res.Err != "" && m != nil {
 			// Only a machine the failed cell actually ran on is suspect; a
 			// failure before acquire (workload constructor panic) must not
-			// evict the configuration's healthy pooled machine.
+			// drop the configuration's healthy pooled machine.
 			wm.drop(c)
-		} else if m != nil {
-			wm.release(c)
 		}
 		if wm == nil && m != nil {
 			// Unpooled machine: release its coroutine pool now rather than
@@ -568,7 +538,7 @@ func runCell(c Cell, wm *workerMachines, ia *inputs.Arena, sa *snapshots.Arena, 
 		m, reused = wm.acquire(c)
 		cowBefore, skipsBefore = m.CowCopies(), m.RestoreSkips()
 		if wm == nil {
-			rm.add(1, 0, 0) // pooled builds are counted from the pool's stat deltas
+			rm.addBuilt() // pooled builds are counted from the pool's stat deltas
 		}
 		// A freshly built machine is already pristine at c's seed; a reused one
 		// still holds the previous cell's state and must be ResetSeed — but only
@@ -761,42 +731,11 @@ type Engine struct {
 	// externally owned cross-sweep pool shared across runs, so a process
 	// running many figure sweeps builds each (worker, configuration)
 	// machine once instead of once per run. The engine never closes an
-	// external pool; per-run build/reuse/evict deltas still land in
-	// Metrics. Only meaningful under ReuseOn (ReuseOff never pools), and
-	// the pool's own cap applies (Engine.MachineCap covers engine-built
-	// pools only). Engine runs sharing one pool must not execute
-	// concurrently with each other — worker indexes would collide on the
-	// same mutable machines.
+	// external pool; per-run build/reuse deltas still land in Metrics.
+	// Only meaningful under ReuseOn (ReuseOff never pools). Engine runs
+	// sharing one pool must not execute concurrently with each other —
+	// worker indexes would collide on the same mutable machines.
 	Machines *MachinePool
-	// MachineCap, when > 0, globally bounds the engine-built pool's
-	// machines across all workers, evicting (and Closing) the least
-	// recently used beyond it. 0 — the CLI-sweep default — leaves pools
-	// unbounded (a sweep's pool is naturally bounded by workers ×
-	// configurations); long-lived processes running many matrices set it to
-	// bound machine memory. Ignored when Machines supplies an external
-	// pool (which carries its own cap).
-	MachineCap int
-	// InputCap, when > 0, bounds the engine-built input arena's entries
-	// with the same LRU policy. 0 (default) is unbounded. External arenas
-	// carry their own cap.
-	InputCap int
-	// SnapshotCap bounds the engine-built snapshot arena's entries the same
-	// way. 0 (default) is unbounded.
-	SnapshotCap int
-	// InputBudget, when > 0, bounds the engine-built input arena by
-	// estimated cached bytes instead of (or alongside) the entry cap —
-	// whichever limit is exceeded evicts LRU-first. External arenas carry
-	// their own budget.
-	InputBudget int
-	// SnapshotBudget bounds the engine-built snapshot arena by DEDUPLICATED
-	// resident image bytes the same way: pages shared between cached images
-	// (copy-on-write siblings, content-pooled duplicates) are charged once,
-	// so the budget admits everything that physically fits rather than
-	// evicting when the logical sum — which multi-counts shared pages —
-	// crosses it. Byte budgets are the paper-scale knob: at -scale 1 images
-	// run to megabytes each, so an entry cap either admits too much memory
-	// or thrashes; a budget sizes the arena by true footprint.
-	SnapshotBudget int
 	// Memo, when non-nil, is a result memo shared across runs: a cell
 	// whose identity (workload, params, full machine configuration) some
 	// cell already simulated takes that result instead of simulating, and
@@ -804,8 +743,8 @@ type Engine struct {
 	// gates never carry one, so they always re-simulate.
 	Memo *Memo
 	// Metrics, when non-nil, accumulates host-side lifecycle counters
-	// (machines built/reused/evicted, input arena hits/misses) across this
-	// engine's runs. Counters add up across runs sharing one RunMetrics.
+	// (machines built/reused, input and snapshot arena hits/misses) across
+	// this engine's runs. Counters add up across runs sharing one RunMetrics.
 	Metrics *RunMetrics
 }
 
@@ -835,22 +774,22 @@ func (e *Engine) Run(cells []Cell) (Results, error) {
 	// runs; metrics then report this run's deltas.
 	ia := e.Inputs
 	if ia == nil && e.InputMode == InputsOn {
-		ia = inputs.NewBudgeted(e.InputCap, e.InputBudget)
+		ia = inputs.New()
 	}
 	sa := e.Snapshots
 	if sa == nil && e.SnapshotMode == SnapshotsOn {
-		sa = snapshots.NewBudgeted(e.SnapshotCap, e.SnapshotBudget)
+		sa = snapshots.New()
 	}
 	// The machine pool is shared by every worker the same way (keys are
 	// partitioned by worker index, so sharing the structure costs one short
-	// critical section per acquire/release while the cap stays global).
-	// Externally owned pools (Engine.Machines) extend machine reuse across
-	// runs; engine-built pools are closed when the run ends.
+	// critical section per acquire). Externally owned pools
+	// (Engine.Machines) extend machine reuse across runs; engine-built pools
+	// are closed when the run ends.
 	var pool *MachinePool
 	if reuse {
 		pool = e.Machines
 		if pool == nil {
-			pool = NewMachinePool(e.MachineCap)
+			pool = NewMachinePool()
 		}
 	}
 	iaBefore, saBefore, mpBefore := ia.Stats(), sa.Stats(), pool.Stats()

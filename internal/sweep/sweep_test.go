@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -179,7 +181,7 @@ func TestSchedulerAffinityAndStealing(t *testing.T) {
 // → same machine (Reset by the cell), different seed → same machine, failed
 // cell → the machine is dropped and rebuilt.
 func TestArenaReusesAndDrops(t *testing.T) {
-	pool := NewMachinePool(0)
+	pool := NewMachinePool()
 	defer pool.Close()
 	wm := &workerMachines{pool: pool, w: 0}
 	c1 := Cell{Workload: "add", Threads: 2, Seed: 1, Mk: func() Workload { return &addWorkload{ops: 8} }}
@@ -189,7 +191,6 @@ func TestArenaReusesAndDrops(t *testing.T) {
 	if reused {
 		t.Fatal("first acquire of a configuration reported reuse")
 	}
-	wm.release(c1)
 	r := runCell(c2, wm, nil, nil, nil, nil)
 	if r.Err != "" {
 		t.Fatalf("reused-machine cell failed: %s", r.Err)
@@ -198,8 +199,7 @@ func TestArenaReusesAndDrops(t *testing.T) {
 	if !reused || m2 != m1 {
 		t.Fatal("cell with different seed did not reuse the pooled machine")
 	}
-	wm.release(c2)
-	// A panicking cell must evict its machine from the pool.
+	// A panicking cell must drop its machine from the pool.
 	boom := c1
 	boom.Mk = func() Workload { return &panicWorkload{addWorkload{ops: 1}} }
 	if r := runCell(boom, wm, nil, nil, nil, nil); !strings.Contains(r.Err, "boom") {
@@ -213,12 +213,11 @@ func TestArenaReusesAndDrops(t *testing.T) {
 		t.Fatalf("cell after dropped machine failed: %s", r.Err)
 	}
 	// A failure before the machine is acquired (workload constructor panic)
-	// must NOT evict the configuration's healthy pooled machine.
+	// must NOT drop the configuration's healthy pooled machine.
 	kept, reused := wm.acquire(c1)
 	if !reused {
 		t.Fatal("no pooled machine to protect")
 	}
-	wm.release(c1)
 	mkBoom := c1
 	mkBoom.Mk = func() Workload { panic("constructor boom") }
 	if r := runCell(mkBoom, wm, nil, nil, nil, nil); !strings.Contains(r.Err, "constructor boom") {
@@ -226,9 +225,8 @@ func TestArenaReusesAndDrops(t *testing.T) {
 	}
 	m4, reused := wm.acquire(c1)
 	if !reused || m4 != kept {
-		t.Fatal("pre-acquire failure evicted the pooled machine")
+		t.Fatal("pre-acquire failure dropped the pooled machine")
 	}
-	wm.release(c1)
 }
 
 // stealingMatrix builds the migration-prone tail-stealing shape: few
@@ -515,83 +513,6 @@ func TestGenerationPanicDoesNotWedgeEngine(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Engine.Run wedged on a generation panic")
 	}
-}
-
-// TestMachineCapEvictsLRU covers the global machine cap: with a cap below
-// the number of distinct configurations, the pool evicts (and Closes) least
-// recently used machines instead of growing, and results stay identical to
-// the unbounded run.
-func TestMachineCapEvictsLRU(t *testing.T) {
-	cells := testMatrix().Cells() // 6 distinct configurations
-	unbounded := &RunMetrics{}
-	eng := Engine{Workers: 1, Metrics: unbounded}
-	want, err := eng.Run(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	capped := &RunMetrics{}
-	eng = Engine{Workers: 1, MachineCap: 2, Metrics: capped}
-	got, err := eng.Run(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if want[i].Stats != got[i].Stats || want[i].Digest != got[i].Digest {
-			t.Errorf("cell %d differs between capped and unbounded pools", i)
-		}
-	}
-	if capped.MachinesEvicted == 0 {
-		t.Error("cap below config count evicted nothing")
-	}
-	if unbounded.MachinesEvicted != 0 {
-		t.Errorf("unbounded pool evicted %d machines", unbounded.MachinesEvicted)
-	}
-	if unbounded.MachinesBuilt != 6 {
-		t.Errorf("unbounded pool built %d machines, want 6 (one per config)", unbounded.MachinesBuilt)
-	}
-}
-
-// TestPoolLimiterSkipsInUse pins the cap's safety property: a machine
-// running a cell (pinned by acquire) must never be evicted from under its
-// worker, even when the in-flight set alone exceeds the cap; the pool
-// shrinks at release instead.
-func TestPoolLimiterSkipsInUse(t *testing.T) {
-	pool := NewMachinePool(1)
-	wm1 := &workerMachines{pool: pool, w: 1}
-	wm2 := &workerMachines{pool: pool, w: 2}
-	c1 := Cell{Workload: "add", Threads: 1, Seed: 1, Mk: func() Workload { return &addWorkload{ops: 8} }}
-	c2 := c1
-	c2.Threads = 2
-	m1, _ := wm1.acquire(c1) // in use by worker 1
-	_, _ = wm2.acquire(c2)   // in use by worker 2: over cap, nothing evictable
-	if n := pool.Len(); n != 2 {
-		t.Fatalf("pool has %d machines, want 2 in flight", n)
-	}
-	if ev := pool.Stats().Evictions; ev != 0 {
-		t.Fatal("in-use machine evicted")
-	}
-	if !wm1.has(arenaKey(c1)) {
-		t.Fatal("in-use machine vanished from the pool")
-	}
-	wm1.release(c1) // now idle: the overflow eviction fires
-	if n := pool.Len(); n != 1 {
-		t.Fatalf("pool has %d machines after release, want cap 1", n)
-	}
-	if ev := pool.Stats().Evictions; ev != 1 {
-		t.Fatalf("evictions = %d, want 1", ev)
-	}
-	if wm1.has(arenaKey(c1)) {
-		t.Fatal("LRU machine (worker 1's idle one) still pooled")
-	}
-	wm2.release(c2)
-	if n := pool.Len(); n != 1 {
-		t.Fatalf("pool has %d machines, want 1", n)
-	}
-	pool.Close()
-	if n := pool.Len(); n != 0 {
-		t.Fatalf("pool has %d machines after close, want 0", n)
-	}
-	_ = m1
 }
 
 // TestParallelMatchesSequential is the engine's core guarantee: worker
@@ -927,19 +848,18 @@ func (w *snapWorkload) AdoptHost(m *commtm.Machine, host any) {
 // paths: a snapshot miss or a no-snapshot cell on a reused machine resets
 // once (at ensurePristine), and a fresh-machine cell resets zero times.
 func TestSnapshotHitResetsOnce(t *testing.T) {
-	pool := NewMachinePool(0)
+	pool := NewMachinePool()
 	defer pool.Close()
 	wm := &workerMachines{pool: pool, w: 0}
 	sa := snapshots.New()
 	c := Cell{Workload: "add", Threads: 2, Seed: 1, Mk: func() Workload { return &snapWorkload{addWorkload{ops: 8}} }}
 
 	// resetsDuring runs c and returns how many ResetSeeds the cell's pooled
-	// machine performed, peeking at the machine via an acquire/release pair
-	// around the cell.
+	// machine performed, peeking at the machine via an acquire before and
+	// after the cell.
 	resetsDuring := func(c Cell, sa *snapshots.Arena) (uint64, Result) {
 		m, _ := wm.acquire(c)
 		before := m.ResetCount()
-		wm.release(c)
 		r := runCell(c, wm, nil, sa, nil, nil)
 		if r.Err != "" {
 			t.Fatalf("cell failed: %s", r.Err)
@@ -949,7 +869,6 @@ func TestSnapshotHitResetsOnce(t *testing.T) {
 			t.Fatal("machine changed identity mid-test")
 		}
 		after := m2.ResetCount()
-		wm.release(c)
 		return after - before, r
 	}
 
@@ -988,7 +907,7 @@ func TestSnapshotHitResetsOnce(t *testing.T) {
 	}
 
 	// Control: a cell on a freshly built machine needs no reset at all.
-	fresh := NewMachinePool(0)
+	fresh := NewMachinePool()
 	defer fresh.Close()
 	wmf := &workerMachines{pool: fresh, w: 0}
 	if r := runCell(c, wmf, nil, nil, nil, nil); r.Err != "" {
@@ -998,7 +917,6 @@ func TestSnapshotHitResetsOnce(t *testing.T) {
 	if got := m.ResetCount(); got != 0 {
 		t.Fatalf("fresh-machine cell reset %d times, want 0", got)
 	}
-	wmf.release(c)
 }
 
 // TestMachinePoolSharedAcrossRuns is the cross-sweep pooling guarantee: two
@@ -1007,7 +925,7 @@ func TestSnapshotHitResetsOnce(t *testing.T) {
 // produce identical results.
 func TestMachinePoolSharedAcrossRuns(t *testing.T) {
 	cells := testMatrix().Cells()
-	pool := NewMachinePool(0)
+	pool := NewMachinePool()
 	defer pool.Close()
 	run := func() (Results, *RunMetrics) {
 		rm := &RunMetrics{}
@@ -1039,5 +957,52 @@ func TestMachinePoolSharedAcrossRuns(t *testing.T) {
 		if r1[i].Stats != r2[i].Stats || r1[i].Digest != r2[i].Digest {
 			t.Errorf("cell %d differs between pool-cold and pool-warm runs", i)
 		}
+	}
+	// Close is the owner's release: it empties the pool.
+	pool.Close()
+	if n := pool.Len(); n != 0 {
+		t.Fatalf("pool holds %d machines after Close, want 0", n)
+	}
+}
+
+// TestBenchmarkLifecycleCountersExist guards the benchmark's per-layer
+// lifecycle metrics: every "lifecycle.<name>" that BENCHMARK.json lists must
+// be a JSON field of RunMetrics, which is both what the in-process
+// workloads read from Engine.Metrics and what the CLI's host_metrics line
+// embeds. The benchmark skips a missing counter without complaint, so a
+// deleted field would otherwise only show up as a result line short of
+// metrics.
+func TestBenchmarkLifecycleCountersExist(t *testing.T) {
+	buf, err := os.ReadFile("../../BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench struct {
+		PerLayer []struct {
+			Name string `json:"name"`
+		} `json:"per_layer"`
+	}
+	if err := json.Unmarshal(buf, &bench); err != nil {
+		t.Fatal(err)
+	}
+	fields := map[string]bool{}
+	rt := reflect.TypeOf(RunMetrics{})
+	for i := 0; i < rt.NumField(); i++ {
+		name, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
+		fields[name] = true
+	}
+	n := 0
+	for _, m := range bench.PerLayer {
+		name, ok := strings.CutPrefix(m.Name, "lifecycle.")
+		if !ok {
+			continue
+		}
+		n++
+		if !fields[name] {
+			t.Errorf("BENCHMARK.json lists %q, but RunMetrics has no JSON field %q", m.Name, name)
+		}
+	}
+	if n == 0 {
+		t.Fatal("BENCHMARK.json lists no lifecycle.* metrics; the guard checks nothing")
 	}
 }

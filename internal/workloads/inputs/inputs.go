@@ -17,20 +17,15 @@
 // conformance gate, which runs the golden matrix with arenas on and off
 // against the same committed goldens.
 //
-// The arena is a thin typed wrapper over the generic keyed-singleflight-LRU
+// The arena is a thin typed wrapper over the generic keyed-singleflight
 // core in internal/arena; the caching machinery itself (singleflight, panic
-// unpublish, done-only LRU eviction, exactly-one-outcome stats) lives
-// there, shared with the snapshot arena and the sweep machine pool. This
-// package contributes only the key/value types and the eviction-close
-// policy: an evicted value that implements Close() or Close() error is
-// closed (outside the arena lock).
+// unpublish, exactly-one-outcome stats) lives there, shared with the
+// snapshot arena and the sweep machine pool. This package contributes only
+// the key/value types. The arena is unbounded for the life of its owner and
+// never releases a value, so cached inputs need no close policy.
 package inputs
 
-import (
-	"reflect"
-
-	"commtm/internal/arena"
-)
+import "commtm/internal/arena"
 
 // Key identifies one generated input. Two keys are equal exactly when the
 // generated input would be byte-identical: Kind names the workload family,
@@ -50,187 +45,29 @@ type User interface {
 	UseInputs(*Arena)
 }
 
-// Stats is a snapshot of an arena's cache behavior. Hits, Misses,
-// Evictions, and BytesAdded are cumulative counters; Size and Bytes are
-// current gauges. Bytes is the estimated deep host size of the cached
-// values (the unit -input-budget evicts against); the estimate walks
-// slices, maps, and nested structures once, at generation time.
-type Stats struct {
-	Hits       uint64 `json:"hits"`
-	Misses     uint64 `json:"misses"`
-	Evictions  uint64 `json:"evictions"`
-	BytesAdded uint64 `json:"bytes_added"`
-	Size       int    `json:"size"`
-	Bytes      int    `json:"bytes"`
-}
+// Stats is a snapshot of an arena's cache behavior: cumulative Hits and
+// Misses and the current entry count.
+type Stats = arena.Stats
 
-// Delta returns the counter movement between prev and s, keeping s's Size
-// and Bytes gauges. Engine runs sharing a process-lifetime arena use it to
-// report per-run metrics.
-func (s Stats) Delta(prev Stats) Stats {
-	s.Hits -= prev.Hits
-	s.Misses -= prev.Misses
-	s.Evictions -= prev.Evictions
-	s.BytesAdded -= prev.BytesAdded
-	return s
-}
-
-// Arena is a content-addressed, optionally capped input cache. It is safe
-// for concurrent use: the sweep engine shares one arena across all workers
-// of a run (inputs are immutable, so sharing is free and gives cross-worker
-// hits that mutable machine arenas cannot have). A nil *Arena is valid and
+// Arena is a content-addressed, unbounded input cache. It is safe for
+// concurrent use: the sweep engine shares one arena across all workers of a
+// run (inputs are immutable, so sharing is free and gives cross-worker hits
+// that mutable machine arenas cannot have). A nil *Arena is valid and
 // always generates fresh.
 type Arena struct {
 	c arena.Arena[Key, any]
 }
 
-// New returns an unbounded arena.
-func New() *Arena { return NewBudgeted(0, 0) }
-
-// NewCapped returns an arena holding at most cap entries, evicting the
-// least recently used beyond that; cap <= 0 means unbounded. If an evicted
-// value implements io.Closer's shape (Close() or Close() error), it is
-// closed — outside the arena lock, so a Close that re-enters the arena or
-// takes long cannot deadlock or stall other workers.
-func NewCapped(cap int) *Arena { return NewBudgeted(cap, 0) }
-
-// NewBudgeted returns an arena bounded by an entry cap and/or a byte
-// budget; either limit evicts the least recently used entries beyond it,
-// and <= 0 disables that limit. The budget is in estimated deep host bytes
-// of the cached values (see sizeOf) — an estimate, so treat the budget as
-// a target, not an exact ceiling.
-func NewBudgeted(cap, budget int) *Arena {
-	a := &Arena{}
-	a.c.Cap = cap
-	a.c.Budget = budget
-	a.c.SizeOf = deepSize
-	a.c.OnRelease = closeValue
-	return a
-}
-
-// deepSize estimates the deep host size of a cached input: the value's own
-// bytes plus everything it references through pointers, slices, maps,
-// strings, arrays, structs, and interfaces, each referenced allocation
-// counted once. It runs once per generated value (the cold path), never on
-// hits. The estimate ignores allocator rounding and map bucket overhead —
-// good enough to size an eviction budget, not an exact accounting.
-func deepSize(v any) int {
-	rv := reflect.ValueOf(v)
-	if !rv.IsValid() {
-		return 0
-	}
-	return int(rv.Type().Size()) + payloadSize(rv, make(map[uintptr]bool))
-}
-
-// payloadSize returns the bytes rv references beyond its own inline
-// representation. seen tracks visited pointers/slices/maps so shared
-// allocations count once and cycles terminate.
-func payloadSize(rv reflect.Value, seen map[uintptr]bool) int {
-	switch rv.Kind() {
-	case reflect.Pointer:
-		if rv.IsNil() || seen[rv.Pointer()] {
-			return 0
-		}
-		seen[rv.Pointer()] = true
-		e := rv.Elem()
-		return int(e.Type().Size()) + payloadSize(e, seen)
-	case reflect.Slice:
-		if rv.IsNil() || seen[rv.Pointer()] {
-			return 0
-		}
-		seen[rv.Pointer()] = true
-		et := rv.Type().Elem()
-		n := rv.Cap() * int(et.Size())
-		if typeHasIndirect(et) {
-			for i := 0; i < rv.Len(); i++ {
-				n += payloadSize(rv.Index(i), seen)
-			}
-		}
-		return n
-	case reflect.String:
-		return rv.Len()
-	case reflect.Map:
-		if rv.IsNil() || seen[rv.Pointer()] {
-			return 0
-		}
-		seen[rv.Pointer()] = true
-		kt, vt := rv.Type().Key(), rv.Type().Elem()
-		n := rv.Len() * int(kt.Size()+vt.Size())
-		if typeHasIndirect(kt) || typeHasIndirect(vt) {
-			it := rv.MapRange()
-			for it.Next() {
-				n += payloadSize(it.Key(), seen) + payloadSize(it.Value(), seen)
-			}
-		}
-		return n
-	case reflect.Interface:
-		if rv.IsNil() {
-			return 0
-		}
-		e := rv.Elem()
-		n := payloadSize(e, seen)
-		if e.Kind() == reflect.Pointer || e.Kind() == reflect.Map {
-			return n // the interface word holds the pointer inline
-		}
-		return n + int(e.Type().Size()) // boxed value
-	case reflect.Struct:
-		n := 0
-		for i := 0; i < rv.NumField(); i++ {
-			n += payloadSize(rv.Field(i), seen)
-		}
-		return n
-	case reflect.Array:
-		if !typeHasIndirect(rv.Type().Elem()) {
-			return 0
-		}
-		n := 0
-		for i := 0; i < rv.Len(); i++ {
-			n += payloadSize(rv.Index(i), seen)
-		}
-		return n
-	}
-	return 0
-}
-
-// typeHasIndirect reports whether values of t can reference heap memory
-// beyond their inline bytes, gating the per-element walks above so flat
-// numeric slices are sized in O(1).
-func typeHasIndirect(t reflect.Type) bool {
-	switch t.Kind() {
-	case reflect.Pointer, reflect.Slice, reflect.Map, reflect.String,
-		reflect.Interface, reflect.Chan, reflect.Func, reflect.UnsafePointer:
-		return true
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			if typeHasIndirect(t.Field(i).Type) {
-				return true
-			}
-		}
-		return false
-	case reflect.Array:
-		return typeHasIndirect(t.Elem())
-	}
-	return false
-}
-
-// closeValue is the input arena's eviction policy: close-if-closeable.
-func closeValue(_ Key, v any) {
-	switch c := v.(type) {
-	case interface{ Close() }:
-		c.Close()
-	case interface{ Close() error }:
-		_ = c.Close()
-	}
-}
+// New returns an empty arena.
+func New() *Arena { return &Arena{} }
 
 // Load returns the cached input for k, generating and caching it on a
 // miss. gen must be a pure function of k (same key, same bytes). Misses
 // are single-flighted per key: one concurrent caller generates while the
 // others wait for its result, so the expensive generation never runs twice
-// for one key (and no generated value is ever silently discarded, which
-// matters for closeable values). A generator panic unpublishes the pending
-// entry and wakes its waiters before propagating; a woken waiter re-claims.
-// A nil arena calls gen directly.
+// for one key. A generator panic unpublishes the pending entry and wakes
+// its waiters before propagating; a woken waiter re-claims. A nil arena
+// calls gen directly.
 func Load[T any](a *Arena, k Key, gen func() T) T {
 	if a == nil {
 		return gen()
@@ -249,11 +86,7 @@ func (a *Arena) Stats() Stats {
 	if a == nil {
 		return Stats{}
 	}
-	s := a.c.Stats()
-	return Stats{
-		Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions,
-		BytesAdded: s.BytesAdded, Size: s.Size, Bytes: s.Bytes,
-	}
+	return a.c.Stats()
 }
 
 // Len returns the number of cached inputs. Nil-safe.

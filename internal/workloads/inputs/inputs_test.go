@@ -47,85 +47,9 @@ func TestNilArenaGeneratesFresh(t *testing.T) {
 	}
 }
 
-type closeable struct{ closed *int }
-
-func (c closeable) Close() { *c.closed++ }
-
-// TestCapEvictsLRU: inserting beyond the cap evicts the least recently used
-// entry (not the most recent), and closeable values are closed.
-func TestCapEvictsLRU(t *testing.T) {
-	a := NewCapped(2)
-	closed := 0
-	mk := func() closeable { return closeable{&closed} }
-	Load(a, key(1), mk)
-	Load(a, key(2), mk)
-	Load(a, key(1), mk) // touch 1: now 2 is LRU
-	Load(a, key(3), mk) // evicts 2
-	if a.Len() != 2 {
-		t.Fatalf("len = %d, want 2", a.Len())
-	}
-	if closed != 1 {
-		t.Fatalf("closed %d values, want 1", closed)
-	}
-	gens := 0
-	Load(a, key(1), func() closeable { gens++; return mk() })
-	Load(a, key(3), func() closeable { gens++; return mk() })
-	if gens != 0 {
-		t.Fatal("survivors regenerated; wrong entry evicted")
-	}
-	Load(a, key(2), func() closeable { gens++; return mk() })
-	if gens != 1 {
-		t.Fatal("evicted entry still cached")
-	}
-	if st := a.Stats(); st.Evictions != 2 {
-		t.Fatalf("evictions = %d, want 2", st.Evictions)
-	}
-}
-
-type atomicCloseable struct{ closed *atomic.Int64 }
-
-func (c atomicCloseable) Close() { c.closed.Add(1) }
-
-// TestCapHonoredUnderChurn hammers a capped arena with a rotating key set
-// (far more keys than capacity) from several goroutines and checks the size
-// stays bounded and every evicted value was closed. Mid-churn the arena may
-// legitimately hold up to one pending (mid-generation, not yet evictable)
-// singleflight entry per concurrent worker beyond the cap; once the churn
-// settles, the strict cap must hold. The close counter is atomic because
-// release hooks run outside the arena lock, so concurrent evictors may
-// close concurrently.
-func TestCapHonoredUnderChurn(t *testing.T) {
-	const cap, keys, rounds, workers = 4, 64, 50, 4
-	a := NewCapped(cap)
-	var closed atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				k := key((r*workers + w) % keys)
-				Load(a, k, func() atomicCloseable { return atomicCloseable{&closed} })
-				if n := a.Len(); n > cap+workers {
-					t.Errorf("arena grew to %d entries under churn, cap %d + %d in flight", n, cap, workers)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if n := a.Len(); n > cap {
-		t.Fatalf("final size %d exceeds cap %d", n, cap)
-	}
-	if st := a.Stats(); uint64(closed.Load()) != st.Evictions {
-		t.Fatalf("closed %d values, evictions %d", closed.Load(), st.Evictions)
-	}
-}
-
 // TestConcurrentMissGeneratesOnce: misses are single-flighted per key —
 // concurrent Loads run the generator exactly once, every racer blocks for
-// and observes the owner's value, and no generated value is discarded
-// (which would leak closeable values).
+// and observes the owner's value.
 func TestConcurrentMissGeneratesOnce(t *testing.T) {
 	a := New()
 	var gens atomic.Int32
@@ -205,62 +129,5 @@ func TestPanickingGeneratorUnpublishes(t *testing.T) {
 	}
 	if got := Load(a, key(2), func() int { return 9 }); got != 7 {
 		t.Fatalf("later Load = %d, want the waiter's cached 7", got)
-	}
-}
-
-// TestDeepSizeEstimates pins the size estimator the byte budget evicts
-// against: flat slices count their backing array once, nested structures
-// count referenced allocations once each (shared pointers are not
-// double-billed), and the estimate is exact for the flat shapes that
-// dominate cached inputs.
-func TestDeepSizeEstimates(t *testing.T) {
-	if got, want := deepSize([]uint64(nil)), 24; got != want {
-		t.Errorf("deepSize(nil slice) = %d, want the header alone (%d)", got, want)
-	}
-	if got, want := deepSize(make([]uint64, 100)), 24+800; got != want {
-		t.Errorf("deepSize([]uint64 x100) = %d, want %d", got, want)
-	}
-	type node struct {
-		payload []byte
-		next    *node
-	}
-	shared := make([]byte, 50)
-	a := &node{payload: shared}
-	b := &node{payload: shared, next: a}
-	sz := deepSize(b)
-	// One copy of the 50-byte payload, two node structs, one interface-boxed
-	// pointer: the exact figure is an implementation detail, but sharing must
-	// not be double-billed.
-	if lone := deepSize(a); sz >= lone+50 {
-		t.Errorf("shared payload double-billed: deepSize(b)=%d, deepSize(a)=%d", sz, lone)
-	}
-	if sz <= deepSize(a) {
-		t.Errorf("linked node adds nothing: deepSize(b)=%d <= deepSize(a)=%d", sz, deepSize(a))
-	}
-	m := map[string][]int{"k": make([]int, 10), "longerkey": nil}
-	if got := deepSize(m); got < 80 {
-		t.Errorf("deepSize(map) = %d, want at least the slice payload and keys", got)
-	}
-}
-
-// TestBudgetEvictsInputs: the byte budget wired through NewBudgeted evicts
-// cached inputs by their estimated deep size.
-func TestBudgetEvictsInputs(t *testing.T) {
-	a := NewBudgeted(0, 2000)
-	mk := func(n int) func() any {
-		return func() any { return make([]uint64, n) }
-	}
-	Load(a, Key{Kind: "x", Seed: 1}, mk(100)) // ~824 bytes
-	Load(a, Key{Kind: "x", Seed: 2}, mk(100))
-	if st := a.Stats(); st.Evictions != 0 || st.Size != 2 {
-		t.Fatalf("under budget: %+v, want both cached", st)
-	}
-	Load(a, Key{Kind: "x", Seed: 3}, mk(100)) // ~2472 > 2000: evicts seed 1
-	st := a.Stats()
-	if st.Evictions != 1 || st.Size != 2 || st.Bytes > 2000 {
-		t.Fatalf("over budget: %+v, want one eviction and bytes under budget", st)
-	}
-	if _, hit := a.c.Get(Key{Kind: "x", Seed: 1}); hit {
-		t.Fatal("LRU input survived budget eviction")
 	}
 }

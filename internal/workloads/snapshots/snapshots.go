@@ -2,8 +2,8 @@
 // content-addressed cache of post-Setup machine state (commtm.Image) plus
 // the host-side state the owning workload instance computed during Setup,
 // keyed by (workload, canonical params, seed, configuration modulo seed).
-// With PR 4's input arenas the generated inputs are already cached, but
-// every cell still replays them into the machine word by word; the snapshot
+// With the input arena the generated inputs are already cached, but every
+// cell still replays them into the machine word by word; the snapshot
 // arena caches the *installed* state instead, so a repeated cell skips
 // Setup entirely — Machine.Restore adopts the image's copy-on-write pages
 // by pointer and the workload adopts the cached host state.
@@ -20,12 +20,13 @@
 // conformance gate, which runs the golden matrix with snapshots on and off
 // against the same committed goldens.
 //
-// The arena is a thin typed wrapper over the generic keyed-singleflight-LRU
+// The arena is a thin typed wrapper over the generic keyed-singleflight
 // core in internal/arena, shared with the input arena and the sweep machine
-// pool. This package contributes the key/value types, the per-entry byte
-// accounting (image bytes), and the eviction policy: snapshots are never
-// closed — images are plain host memory and dropping the reference frees
-// them.
+// pool. This package contributes the key/value types, the split of
+// thread-invariant images into a base plus per-geometry overlays, and the
+// content-addressed page pool every captured image is interned into. The
+// arena is unbounded for the life of its owner and never releases an
+// image: images are plain host memory, freed with the arena.
 package snapshots
 
 import (
@@ -100,15 +101,10 @@ type Key struct {
 }
 
 // Entry is one cached snapshot: the immutable machine image and the
-// workload's host-side state. Entries produced through LoadSplit additionally
-// pin the base entry they were captured on top of; the pin is dropped when
-// the entry leaves the arena.
+// workload's host-side state.
 type Entry struct {
 	Img  *commtm.Image
 	Host any
-
-	base    Key  // base-arena key this entry pins (LoadSplit captures only)
-	hasBase bool // distinguishes the zero Key from a real pin
 }
 
 // BaseEntry is one cached thread-invariant base: the geometry-free machine
@@ -119,29 +115,20 @@ type BaseEntry struct {
 	Host any
 }
 
-// Stats is a snapshot of an arena's cache behavior. Hits, Misses,
-// Evictions, and BytesAdded are cumulative counters (Delta subtracts two
-// readings); Size, Bytes, and ResidentBytes are current gauges. Bytes is
-// the logical footprint (sum of per-image Bytes — what whole-page-copy
-// images would occupy, and the unit -snapshot-budget evicts against);
-// ResidentBytes deduplicates store pages shared between images, so it is
-// at most Bytes and shrinks as copy-on-write sharing grows.
+// Stats is a snapshot of an arena's cache behavior. Hits, Misses and the
+// page-pool counters are cumulative (Delta subtracts two readings); Size,
+// BaseSize and PoolPages are current gauges.
 type Stats struct {
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	Evictions     uint64 `json:"evictions"`
-	BytesAdded    uint64 `json:"bytes_added"`    // total logical bytes of all images ever captured
-	Size          int    `json:"size"`           // entries currently cached
-	Bytes         int    `json:"bytes"`          // logical image bytes currently cached
-	ResidentBytes int    `json:"resident_bytes"` // distinct page payload bytes currently cached
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
+	Size   int    `json:"size"` // entries currently cached
 
 	// Base-arena counters (thread-invariant split captures). A base hit is a
 	// whole Setup skipped across geometries; base misses count distinct
 	// config-modulo-threads keys captured.
-	BaseHits      uint64 `json:"base_hits"`
-	BaseMisses    uint64 `json:"base_misses"`
-	BaseEvictions uint64 `json:"base_evictions"`
-	BaseSize      int    `json:"base_size"`
+	BaseHits   uint64 `json:"base_hits"`
+	BaseMisses uint64 `json:"base_misses"`
+	BaseSize   int    `json:"base_size"`
 
 	// Content-addressed page-pool counters. PagesDeduped/PagesInterned is
 	// the cross-image content-dedup ratio; ContentDeduped is the subset of
@@ -159,18 +146,15 @@ type Stats struct {
 func (s Stats) Delta(prev Stats) Stats {
 	s.Hits -= prev.Hits
 	s.Misses -= prev.Misses
-	s.Evictions -= prev.Evictions
-	s.BytesAdded -= prev.BytesAdded
 	s.BaseHits -= prev.BaseHits
 	s.BaseMisses -= prev.BaseMisses
-	s.BaseEvictions -= prev.BaseEvictions
 	s.PagesInterned -= prev.PagesInterned
 	s.PagesDeduped -= prev.PagesDeduped
 	s.ContentDeduped -= prev.ContentDeduped
 	return s
 }
 
-// Arena is a content-addressed, optionally capped snapshot cache, safe for
+// Arena is a content-addressed, unbounded snapshot cache, safe for
 // concurrent use: the sweep engine shares one arena across all workers of a
 // run (or, via Engine.Snapshots, across every run of a process). A nil
 // *Arena is valid and never caches.
@@ -180,90 +164,8 @@ type Arena struct {
 	pool *commtm.PagePool            // content-addressed pages across both
 }
 
-// New returns an unbounded arena.
-func New() *Arena { return NewBudgeted(0, 0) }
-
-// NewCapped returns an arena holding at most cap entries, evicting the
-// least recently used beyond that; cap <= 0 means unbounded.
-func NewCapped(cap int) *Arena { return NewBudgeted(cap, 0) }
-
-// NewBudgeted returns an arena bounded by an entry cap and/or a byte
-// budget; either limit evicts the least recently used entries beyond it,
-// and <= 0 disables that limit. Stats.Bytes still reports logical image
-// bytes, but the budget evicts against the DEDUPLICATED resident footprint
-// (distinct page payloads, pooled across all cached images): shared pages
-// count once, so a budget of N bytes admits everything that physically fits
-// in N bytes rather than evicting as soon as the logical sum — which
-// multi-counts every shared page — crosses it. The cap and budget apply to
-// the base arena too; a base is pinned (unevictable) while any full entry
-// captured on top of it remains cached.
-func NewBudgeted(cap, budget int) *Arena {
-	a := &Arena{pool: commtm.NewPagePool()}
-	a.c.Cap = cap
-	a.c.Budget = budget
-	a.c.SizeOf = entryBytes
-	a.c.Residency = residentBytes
-	a.c.BudgetResidency = true
-	a.c.OnRelease = func(_ Key, e Entry) {
-		if e.Img != nil {
-			e.Img.ReleasePages(a.pool)
-		}
-		if e.hasBase {
-			a.b.Release(e.base)
-		}
-	}
-	a.b.Cap = cap
-	a.b.Budget = budget
-	a.b.SizeOf = baseEntryBytes
-	a.b.Residency = baseResidentBytes
-	a.b.BudgetResidency = true
-	a.b.OnRelease = func(_ Key, be BaseEntry) {
-		if be.Img != nil {
-			be.Img.ReleasePages(a.pool)
-		}
-	}
-	return a
-}
-
-// entryBytes is the snapshot arena's byte accounting: the image's logical
-// size (host state is negligible — label ids and small structs).
-func entryBytes(e Entry) int {
-	if e.Img == nil {
-		return 0
-	}
-	return e.Img.Bytes()
-}
-
-// baseEntryBytes is the base arena's byte accounting: logical image size.
-func baseEntryBytes(e BaseEntry) int {
-	if e.Img == nil {
-		return 0
-	}
-	return e.Img.Bytes()
-}
-
-// residentBytes is the arena's host-footprint estimate: distinct store
-// pages across all cached images count once, so images captured from
-// machines restored off a common ancestor are not double-billed. With the
-// page pool interning every captured image, pointer-identity dedup here
-// observes content dedup too: bit-identical pages from unrelated keys were
-// rewritten to one canonical payload at capture.
-func residentBytes(es []Entry) int {
-	imgs := make([]*commtm.Image, 0, len(es))
-	for _, e := range es {
-		imgs = append(imgs, e.Img)
-	}
-	return commtm.ResidentImageBytes(imgs)
-}
-
-// baseResidentBytes is residentBytes for the base arena.
-func baseResidentBytes(es []BaseEntry) int {
-	bases := make([]*commtm.BaseImage, 0, len(es))
-	for _, e := range es {
-		bases = append(bases, e.Img)
-	}
-	return commtm.ResidentBaseImageBytes(bases)
-}
+// New returns an empty arena.
+func New() *Arena { return &Arena{pool: commtm.NewPagePool()} }
 
 // Load returns the cached snapshot for k, running capture on a miss and
 // caching its result. capture must run the workload's Setup on the caller's
@@ -306,8 +208,9 @@ func (a *Arena) intern(img *commtm.Image) {
 // runs installBase, which must RestoreBase the image onto the caller's
 // machine and adopt the host state at the machine's own geometry — Setup
 // never runs. Either way capture then records the machine's state as the
-// full-key entry, which pins the base for as long as it stays cached (a
-// base is never evicted out from under an overlay that references it).
+// full-key entry. Both loads are single-flighted: concurrent cells of
+// different geometries capture the base once, and concurrent cells of one
+// geometry capture its overlay once.
 //
 // The returned hit has Load's meaning exactly: true means the entry came
 // from cache and the caller must Restore+AdoptHost; false means the caller's
@@ -319,8 +222,7 @@ func (a *Arena) LoadSplit(k, bk Key, setup func(), installBase func(BaseEntry), 
 		return capture(), false
 	}
 	return a.c.Load(k, func() Entry {
-		committed := false
-		be, bhit := a.b.Acquire(bk, func() BaseEntry {
+		be, bhit := a.b.Load(bk, func() BaseEntry {
 			setup()
 			b := captureBase()
 			if b.Img != nil && a.pool != nil {
@@ -328,23 +230,11 @@ func (a *Arena) LoadSplit(k, bk Key, setup func(), installBase func(BaseEntry), 
 			}
 			return b
 		})
-		defer func() {
-			// The Acquire pin transfers to the full entry at commit (released
-			// by the overlay arena's OnRelease). On a capture panic the entry
-			// is abandoned and the pin must not leak. A captureBase panic
-			// lands here too, where Release of the abandoned key is a no-op —
-			// the claim-time pin died with the unpublished base entry.
-			if !committed {
-				a.b.Release(bk)
-			}
-		}()
 		if bhit {
 			installBase(be)
 		}
 		e := capture()
 		a.intern(e.Img)
-		e.base, e.hasBase = bk, true
-		committed = true
 		return e
 	})
 }
@@ -358,11 +248,8 @@ func (a *Arena) Stats() Stats {
 	bs := a.b.Stats()
 	ps := a.pool.Stats()
 	return Stats{
-		Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions,
-		BytesAdded: s.BytesAdded, Size: s.Size, Bytes: s.Bytes,
-		ResidentBytes: s.ResidentBytes,
-		BaseHits:      bs.Hits, BaseMisses: bs.Misses,
-		BaseEvictions: bs.Evictions, BaseSize: bs.Size,
+		Hits: s.Hits, Misses: s.Misses, Size: s.Size,
+		BaseHits: bs.Hits, BaseMisses: bs.Misses, BaseSize: bs.Size,
 		PagesInterned: ps.Interned, PagesDeduped: ps.Deduped,
 		ContentDeduped: ps.ContentDeduped, PoolPages: ps.Pages,
 	}

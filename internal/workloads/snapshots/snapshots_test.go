@@ -6,14 +6,15 @@ import (
 	"testing"
 
 	"commtm"
+	"commtm/internal/workloads/apps"
 )
 
 func key(i int) Key {
 	return Key{Workload: "w", Params: "p", Seed: uint64(i), Config: commtm.Config{Threads: 1}}
 }
 
-// capturedImage builds a real (tiny) machine image so byte accounting has
-// something to count.
+// capturedImage builds a real (tiny) machine image so the page pool has
+// something to intern.
 func capturedImage(t *testing.T, words int) *commtm.Image {
 	t.Helper()
 	m := commtm.New(commtm.Config{Threads: 1, Seed: 1})
@@ -46,36 +47,12 @@ func TestArenaHitMissAndStats(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 || st.Size != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.Bytes != img.Bytes() || st.BytesAdded != uint64(img.Bytes()) {
-		t.Fatalf("byte accounting: %+v, image bytes %d", st, img.Bytes())
+	if st.PagesInterned+st.PagesDeduped != uint64(img.Pages()) || st.PoolPages != img.Pages() {
+		t.Fatalf("page pool: %+v, image pages %d (the capture interns each page once)", st, img.Pages())
 	}
 	d := a.Stats().Delta(st)
-	if d.Hits != 0 || d.Misses != 0 || d.BytesAdded != 0 || d.Size != 1 {
+	if d.Hits != 0 || d.Misses != 0 || d.PagesInterned != 0 || d.Size != 1 {
 		t.Fatalf("delta of identical readings = %+v", d)
-	}
-}
-
-func TestArenaCapEvictsLRU(t *testing.T) {
-	a := NewCapped(2)
-	img := capturedImage(t, 4)
-	for i := 0; i < 3; i++ {
-		a.Load(key(i), func() Entry { return Entry{Img: img} })
-	}
-	st := a.Stats()
-	if st.Size != 2 || st.Evictions != 1 {
-		t.Fatalf("capped arena: %+v, want size 2 with 1 eviction", st)
-	}
-	if st.Bytes != 2*img.Bytes() {
-		t.Fatalf("resident bytes %d, want %d", st.Bytes, 2*img.Bytes())
-	}
-	// key(0) was least recently used and must be gone: loading it again is
-	// a miss.
-	if _, hit := a.Load(key(0), func() Entry { return Entry{Img: img} }); hit {
-		t.Fatal("evicted key still hit")
-	}
-	// key(2) must still be cached.
-	if _, hit := a.Load(key(2), func() Entry { return Entry{Img: img} }); !hit {
-		t.Fatal("recently used key was evicted")
 	}
 }
 
@@ -150,5 +127,102 @@ func TestNilArena(t *testing.T) {
 	}
 	if a.Len() != 0 {
 		t.Fatal("nil arena len != 0")
+	}
+}
+
+// TestLoadSplitConcurrent drives the split path's nested singleflight from
+// many goroutines at once: two cells per thread count, four thread counts,
+// all sharing one base key. The base must be captured once (one Setup, one
+// base miss), each full key's overlay once (the second cell of a thread
+// count hits it), and every cell must still equal a machine that ran Setup
+// itself at its own geometry.
+func TestLoadSplitConcurrent(t *testing.T) {
+	const seed = 7
+	threads := []int{1, 2, 4, 8}
+	const perKey = 2
+	mk := func() *apps.KMeans { return apps.NewKMeans(256, 4, 4, 2, seed) }
+	cfgAt := func(th int) commtm.Config {
+		return commtm.Config{Threads: th, Protocol: commtm.CommTM, Seed: seed}
+	}
+
+	type result struct {
+		stats  commtm.Stats
+		digest uint64
+	}
+	a := New()
+	var setups atomic.Int64
+	captures := make([]atomic.Int64, len(threads))
+	got := make([]result, len(threads)*perKey)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		ti := i / perKey
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cfg := cfgAt(threads[ti])
+			m := commtm.New(cfg)
+			defer m.Close()
+			w := mk()
+			params, ok := w.SnapshotParams()
+			if !ok || !w.SnapshotThreadInvariant() {
+				t.Error("kmeans opted out of split snapshots")
+				return
+			}
+			kcfg := cfg // the sweep's snapshot key: seed and protocol erased
+			kcfg.Seed, kcfg.Protocol = 0, 0
+			k := Key{Workload: w.Name(), Params: params, Seed: seed, Config: kcfg}
+			bk := k
+			bk.Config.Threads = 0
+			<-start
+			ent, hit := a.LoadSplit(k, bk,
+				func() { setups.Add(1); w.Setup(m) },
+				func(be BaseEntry) { m.RestoreBase(be.Img, seed); w.AdoptBaseHost(m, be.Host) },
+				func() BaseEntry { return BaseEntry{Img: m.SnapshotBase(), Host: w.SnapshotHost()} },
+				func() Entry {
+					captures[ti].Add(1)
+					return Entry{Img: m.Snapshot(), Host: w.SnapshotHost()}
+				})
+			if hit {
+				m.Restore(ent.Img)
+				w.AdoptHost(m, ent.Host)
+			}
+			m.Run(w.Body)
+			if err := w.Validate(m); err != nil {
+				t.Errorf("%d threads: %v", threads[ti], err)
+			}
+			got[i] = result{m.Stats(), m.MemDigest()}
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	if n := setups.Load(); n != 1 {
+		t.Errorf("Setup ran %d times, want 1 (one base capture for all geometries)", n)
+	}
+	st := a.Stats()
+	if st.BaseMisses != 1 || st.BaseHits != uint64(len(threads)-1) {
+		t.Errorf("base misses/hits = %d/%d, want 1/%d (every other geometry adopts the base)",
+			st.BaseMisses, st.BaseHits, len(threads)-1)
+	}
+	if st.Misses != uint64(len(threads)) || st.Hits != uint64(len(threads)*(perKey-1)) {
+		t.Errorf("full-key misses/hits = %d/%d, want %d/%d", st.Misses, st.Hits, len(threads), len(threads)*(perKey-1))
+	}
+	for ti, th := range threads {
+		if n := captures[ti].Load(); n != 1 {
+			t.Errorf("%d threads: overlay captured %d times, want 1", th, n)
+		}
+		m := commtm.New(cfgAt(th))
+		w := mk()
+		w.Setup(m)
+		m.Run(w.Body)
+		want := result{m.Stats(), m.MemDigest()}
+		m.Close()
+		for k := 0; k < perKey; k++ {
+			if r := got[ti*perKey+k]; r != want {
+				t.Errorf("%d threads, cell %d: split-snapshot run diverges from a fresh Setup run:\n  fresh: %+v %#x\n  split: %+v %#x",
+					th, k, want.stats, want.digest, r.stats, r.digest)
+			}
+		}
 	}
 }

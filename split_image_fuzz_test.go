@@ -12,8 +12,9 @@ import (
 
 // tiFuzzWorkload builds a fuzz target workload from the thread-invariant
 // opt-in set (the only workloads whose base images may legally cross
-// geometries). Adjacent sel values always pick different workloads, which
-// the arena scenario uses to create base-arena eviction pressure.
+// geometries). Adjacent sel values pick different workloads (apart from the
+// 255→0 wrap), which the arena scenario uses to put a second base in the
+// arena between the two cells that share one.
 func tiFuzzWorkload(sel uint8, ops uint16) harness.Workload {
 	n := int(ops)%200 + 20
 	switch sel % 3 {
@@ -34,10 +35,9 @@ func tiFuzzWorkload(sel uint8, ops uint16) harness.Workload {
 // dying mid-run with no Reset before the restore), base→overlay→full-image
 // round trips (capture the overlay on the adopted state, Reset, Restore it),
 // and repeated adoption of the same base. A second scenario drives the same
-// sequence through a tightly capped snapshots.Arena so the base arena comes
-// under eviction pressure while an overlay pins its base: the pinned base
-// must survive the eviction pass (or be honestly re-captured after its pin
-// drops), never freed out from under a future adopter.
+// sequence through a snapshots.Arena: the geometry-B cell adopts the base
+// (or full image) the geometry-A cell captured, with another workload's
+// capture in between, and must still match a fresh run.
 func FuzzSplitImageRestore(f *testing.F) {
 	f.Add(uint16(120), uint8(0), uint8(2), uint8(1), uint64(1), uint8(0), uint8(3), uint16(80), false, false, false)
 	f.Add(uint16(50), uint8(3), uint8(0), uint8(0), uint64(42), uint8(1), uint8(5), uint16(200), true, true, true)
@@ -145,11 +145,8 @@ func FuzzSplitImageRestore(f *testing.F) {
 			return
 		}
 
-		// Arena scenario: the same sweep through a capped snapshots.Arena.
-		// Cap 1 forces the base arena over cap while the first base is pinned
-		// by its overlay (the eviction pass must skip it); cap 2 keeps the
-		// pin alive to the end so the geometry-B cell takes a real base hit.
-		ar := snapshots.NewCapped(1 + int(ops)%2)
+		// Arena scenario: the same sweep through a snapshots.Arena.
+		ar := snapshots.New()
 		runCell := func(cfg commtm.Config, wl harness.Workload) (commtm.Stats, uint64) {
 			m := commtm.New(cfg)
 			defer m.Close()
@@ -181,17 +178,20 @@ func FuzzSplitImageRestore(f *testing.F) {
 			}
 			return m.Stats(), m.MemDigest()
 		}
-		// First cell captures wl's base at geometry A; its overlay pins it.
+		// First cell captures wl's base and overlay at geometry A.
 		runCell(cfgA, tiFuzzWorkload(wlSel, ops))
-		// A different workload's capture puts the base arena over cap while
-		// that pin is live.
+		// A different workload's capture lands in the arena in between.
 		runCell(cfgA, tiFuzzWorkload(wlSel+1, dirtyOps))
-		// The original workload at geometry B replays off whatever survived —
-		// a base hit or an honest re-Setup — and must match fresh either way.
+		// The original workload at geometry B adopts the cached base (or, at
+		// equal geometries, the cached full image) and must match fresh.
+		before := ar.Stats()
 		gs, gd := runCell(cfgB, tiFuzzWorkload(wlSel, ops))
 		if gs != wantBStats || gd != wantBDigest {
 			t.Errorf("arena-path run diverges from plain run (A=%+v B=%+v wl=%d ops=%d)\n fresh: %+v %#x\n arena: %+v %#x",
 				cfgA, cfgB, wlSel%3, ops, wantBStats, wantBDigest, gs, gd)
+		}
+		if d := ar.Stats().Delta(before); d.Hits+d.BaseHits != 1 {
+			t.Errorf("geometry-B cell took %d full and %d base hits, want exactly one (the arena never evicts)", d.Hits, d.BaseHits)
 		}
 	})
 }
