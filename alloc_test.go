@@ -16,14 +16,13 @@ import (
 	"commtm/internal/workloads/apps"
 	"commtm/internal/workloads/inputs"
 	"commtm/internal/workloads/micro"
-	"commtm/internal/workloads/snapshots"
 )
 
 // TestResetIsAllocationFree asserts the core steady-state property of the
 // lifecycle: Reset itself never allocates — cache arrays are cleared in
 // place, store/directory pages are invalidated by generation stamp, PRNGs
 // reseed in place. Any allocation here is a regression that reintroduces
-// per-cell GC pressure in sweep arenas.
+// per-cell GC pressure in sweep workers.
 func TestResetIsAllocationFree(t *testing.T) {
 	m := commtm.New(commtm.Config{Threads: 8, Protocol: commtm.CommTM, Seed: 1})
 	runWorkload(m, micro.NewCounter(500)) // populate caches, store, directory
@@ -42,7 +41,7 @@ func TestLayerResetsAllocationFree(t *testing.T) {
 	}
 }
 
-// TestReuseCutsPerCellAllocations asserts the sweep-arena win end to end:
+// TestReuseCutsPerCellAllocations asserts the machine-reuse win end to end:
 // running a cell on a Reset machine must allocate at least 5x fewer objects
 // than building a fresh machine for it (the acceptance bar recorded in
 // BENCH_lifecycle.json). The margin is intentionally the bar itself — the
@@ -69,7 +68,7 @@ func TestReuseCutsPerCellAllocations(t *testing.T) {
 	})
 
 	m := commtm.New(cfg)
-	runWorkload(m, micro.NewCounter(500)) // steady state: arenas run warm
+	runWorkload(m, micro.NewCounter(500)) // steady state: the machine runs warm
 	reused := testing.AllocsPerRun(5, func() {
 		m.Reset()
 		w := micro.NewCounter(500)
@@ -179,63 +178,6 @@ func TestInputArenaHitPathZeroAllocs(t *testing.T) {
 	}
 	if st := a.Stats(); st.Misses != 1 || st.Hits == 0 {
 		t.Errorf("hit-path measurement did not run warm: %+v", st)
-	}
-}
-
-// TestSnapshotRestoreCutsSetupCost asserts the machine-image snapshot win:
-// for a repeated cell, the restore path (Machine.Restore + construct +
-// AdoptHost) must allocate at least 5x fewer bytes than a replayed Setup
-// (Reset + construct + Setup with fresh generation — what a repeated cell
-// pays without any arena, since the snapshot subsumes the input cache too).
-// The machine is held warm on both sides, so the window isolates exactly
-// what the snapshot replaces: input generation, host-state construction,
-// and the word-by-word install. The margin is the acceptance bar from
-// BENCH_snapshots.json; measured ratios are far higher.
-func TestSnapshotRestoreCutsSetupCost(t *testing.T) {
-	cases := []struct {
-		name string
-		mk   func() harness.Workload
-	}{
-		{apps.SSCA2Name, func() harness.Workload { return apps.NewSSCA2(10, 3000, 1) }},
-		{apps.BoruvkaName, func() harness.Workload { return apps.NewBoruvka(16, 16, 0.7, 1) }},
-		{apps.KMeansName, func() harness.Workload { return apps.NewKMeans(512, 8, 12, 3, 1) }},
-		{apps.GenomeName, func() harness.Workload { return apps.NewGenome(512, 32, 3000, 1) }},
-		{micro.TopKName, func() harness.Workload { return micro.NewTopK(2000, 64) }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := commtm.Config{Threads: 4, Protocol: commtm.CommTM, Seed: 1}
-			m := commtm.New(cfg)
-			defer m.Close()
-
-			w0 := tc.mk()
-			sn, ok := w0.(snapshots.Snapshotter)
-			if !ok {
-				t.Fatal("workload lacks the snapshot hook")
-			}
-			if _, compatible := sn.SnapshotParams(); !compatible {
-				t.Fatal("workload opted out of snapshotting")
-			}
-			w0.Setup(m)
-			img := m.Snapshot()
-			host := sn.SnapshotHost()
-
-			setup := allocBytesPerRun(10, func() {
-				m.Reset()
-				w := tc.mk()
-				w.Setup(m)
-			})
-			restored := allocBytesPerRun(10, func() {
-				m.Restore(img)
-				w := tc.mk()
-				w.(snapshots.Snapshotter).AdoptHost(m, host)
-			})
-			if restored*5 > setup {
-				t.Errorf("restore path allocates %.0f bytes vs %.0f replayed Setup; want >= 5x reduction", restored, setup)
-			}
-			t.Logf("install-path alloc bytes per repeated cell: setup=%.0f restored=%.0f (%.1fx reduction), image=%d bytes %d lines",
-				setup, restored, setup/restored, img.Bytes(), img.Lines())
-		})
 	}
 }
 

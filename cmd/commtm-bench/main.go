@@ -18,32 +18,24 @@
 // -parallel N runs each sweep's cells on N host workers (0 = all cores);
 // results stream to the -json / -csv sinks in deterministic cell order, so
 // sink output is byte-identical across worker counts (modulo the trailing
-// wall-clock field). -reuse (default true) runs cells on per-worker machine
-// arenas — one machine per configuration, Reset between cells — instead of
-// building a fresh machine per cell; -input-arena (default true) caches
-// generated workload inputs (graphs, datasets, references, op streams) by
-// (kind, params, seed) and replays them across cells instead of
-// regenerating; -snapshots (default true) caches post-Setup machine images
-// by (workload, params, seed, config modulo seed and variant) and restores
-// them on repeated cells by adopting their copy-on-write pages, skipping
-// Setup entirely. Results are bit-identical with any combination of the
-// three (the golden gate proves it), only host allocation behavior changes.
-// The input and snapshot arenas are process-lifetime: one invocation
-// running several experiments (-exp all) shares them across every figure
-// sweep, so reference cells and repeated configurations hit across
-// experiments. -machine-pool (default true, requires -reuse) makes the
-// machine pool process-lifetime too: pooled machines survive between
-// experiments and repeated configurations reuse them with a Reset instead
-// of rebuilding, with the same bit-identical-results guarantee;
-// -machine-pool=false reverts to a pool per sweep. Every cache is unbounded
-// for the life of the invocation: nothing is evicted. Above all three sits
-// the invocation's result memo, which has no flag: a cell whose identity
-// (workload, params, full machine configuration) an earlier cell of the
-// process already simulated takes that result and simulates nothing, so the
-// cells that fig16 and fig16a-e, fig17 and fig18, or tab2 and the figures
-// share run once per invocation. Rows stay byte-identical apart from
-// wall_ns; failed cells are never memoized; the conformance oracle always
-// re-simulates (EXPERIMENTS.md "The result-memo contract").
+// wall-clock field). -reuse (default true) gives each worker one machine,
+// Reset between consecutive cells of one configuration and rebuilt when the
+// configuration changes, instead of building a fresh machine per cell;
+// -input-arena (default true) caches generated workload inputs (graphs,
+// datasets, references, op streams) by (kind, params, seed) and replays
+// them across cells instead of regenerating. Results are bit-identical with
+// either combination (the golden gate proves it), only host allocation
+// behavior changes. The input arena is process-lifetime and unbounded: one
+// invocation running several experiments (-exp all) shares it across every
+// figure sweep, so reference cells and repeated configurations hit across
+// experiments, and nothing is evicted. Above both sits the invocation's
+// result memo, which has no flag: a cell whose identity (workload, params,
+// full machine configuration) an earlier cell of the process already
+// simulated takes that result and simulates nothing, so the cells that fig16
+// and fig16a-e, fig17 and fig18, or tab2 and the figures share run once per
+// invocation. Rows stay byte-identical apart from wall_ns; failed cells are
+// never memoized; the conformance oracle always re-simulates (EXPERIMENTS.md
+// "The result-memo contract").
 // -oracle runs the differential conformance + determinism oracle over the
 // reduced matrix (plus the geometry-swept group) and exits nonzero on
 // failure; -det-sample F re-runs only a hash-selected fraction F of cells
@@ -51,13 +43,11 @@
 //
 // Every experiment also reports per-sweep host metrics (allocations, GC
 // cycles, heap high-water from runtime.ReadMemStats, and the engine's
-// lifecycle counters: result-memo hits/misses, machines built/reused,
-// input-arena and snapshot-arena hits/misses, copy-on-write page copies,
-// restore skips, and the shared/private page census with its sharing ratio)
-// on stdout and, when -json is given, as a trailing {"host_metrics": ...}
-// JSON line; the line also carries the process-lifetime arenas' cumulative
-// stats (entries, hits and misses over the whole invocation, and the page
-// pool's content-dedup counters) — the observability that makes
+// lifecycle counters: result-memo hits/misses, machines built/reused and
+// input-arena hits/misses) on stdout and, when -json is given, as a
+// trailing {"host_metrics": ...} JSON line; the line also carries the
+// process-lifetime input arena's cumulative stats (entries, hits and misses
+// over the whole invocation) — the observability that makes
 // lifecycle/allocation regressions visible in committed BENCH files.
 package main
 
@@ -78,13 +68,12 @@ import (
 	"commtm/internal/harness"
 	"commtm/internal/sweep"
 	"commtm/internal/workloads/inputs"
-	"commtm/internal/workloads/snapshots"
 )
 
 // hostMetrics is the per-sweep host-side cost report: deltas of
 // runtime.MemStats across one experiment run, plus the sweep engine's
 // lifecycle counters (result-memo hits/misses, machines built/reused,
-// input- and snapshot-arena hits/misses) for the same experiment.
+// input-arena hits/misses) for the same experiment.
 // HeapSysBytes is the OS-claimed heap (HeapSys) at the end of the sweep —
 // a process-wide high-water mark, monotone across experiments, named for
 // what it is so BENCH consumers do not read it as a per-experiment peak.
@@ -96,13 +85,11 @@ type hostMetrics struct {
 	GCCycles     uint32           `json:"host_gc_cycles"`
 	HeapSysBytes uint64           `json:"host_heap_sys_bytes"`
 	Lifecycle    sweep.RunMetrics `json:"lifecycle"`
-	// Cumulative state of the process-lifetime arenas at the end of this
-	// experiment (monotone counters plus size gauges, spanning every
-	// experiment the invocation has run so far). Omitted when the
-	// corresponding arena is disabled.
-	InputsArena    *inputs.Stats    `json:"inputs_arena,omitempty"`
-	SnapshotsArena *snapshots.Stats `json:"snapshots_arena,omitempty"`
-	MachinePool    *sweep.PoolStats `json:"machine_pool,omitempty"`
+	// Cumulative state of the process-lifetime input arena at the end of
+	// this experiment (monotone counters plus a size gauge, spanning every
+	// experiment the invocation has run so far). Omitted when the arena is
+	// disabled.
+	InputsArena *inputs.Stats `json:"inputs_arena,omitempty"`
 }
 
 func readMemStats() runtime.MemStats {
@@ -131,10 +118,8 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		threads  = flag.String("threads", "", "comma-separated thread counts (default 1,2,4,8,16,32,64,128)")
 		parallel = flag.Int("parallel", 1, "host worker pool size per sweep (0 = all cores, 1 = sequential)")
-		reuse    = flag.Bool("reuse", true, "reuse machines across cells via per-worker arenas (false = fresh machine per cell)")
-		mPool    = flag.Bool("machine-pool", true, "keep pooled machines alive across experiments of this invocation (requires -reuse; false = pool per sweep)")
+		reuse    = flag.Bool("reuse", true, "reuse one machine per worker across cells of a configuration (false = fresh machine per cell)")
 		inArena  = flag.Bool("input-arena", true, "cache generated workload inputs across cells (false = regenerate per cell)")
-		snaps    = flag.Bool("snapshots", true, "cache post-Setup machine images and restore them on repeated cells (false = run Setup per cell)")
 		jsonOut  = flag.String("json", "", "write per-cell results as JSON lines to this file")
 		csvOut   = flag.String("csv", "", "write per-cell results as CSV to this file")
 		oracle   = flag.Bool("oracle", false, "run the differential conformance + determinism oracle and exit")
@@ -228,24 +213,12 @@ func main() {
 	if !*inArena {
 		opts.Inputs = sweep.InputsOff
 	}
-	opts.Snapshots = sweep.SnapshotsOn
-	if !*snaps {
-		opts.Snapshots = sweep.SnapshotsOff
-	}
-	// Process-lifetime arenas: one input arena, one snapshot arena, and one
-	// machine pool are owned here and handed to every sweep of the
-	// invocation, so inputs, machine images, and pooled machines cache
-	// across experiments (the reference cell of each figure, repeated
-	// configurations between figures).
+	// The process-lifetime input arena is owned here and handed to every
+	// sweep of the invocation, so inputs cache across experiments (the
+	// reference cell of each figure, repeated configurations between
+	// figures).
 	if *inArena {
 		opts.InputArena = inputs.New()
-	}
-	if *snaps {
-		opts.SnapshotArena = snapshots.New()
-	}
-	if *reuse && *mPool {
-		opts.MachinePool = sweep.NewMachinePool()
-		defer opts.MachinePool.Close()
 	}
 	// The invocation's result memo: a cell several figures and tables show
 	// (fig16 and fig16a-e, fig17 and fig18, tab2) simulates once. The
@@ -290,56 +263,19 @@ func main() {
 			st := opts.InputArena.Stats()
 			hm.InputsArena = &st
 		}
-		if opts.SnapshotArena != nil {
-			st := opts.SnapshotArena.Stats()
-			hm.SnapshotsArena = &st
-		}
-		if opts.MachinePool != nil {
-			st := opts.MachinePool.Stats()
-			hm.MachinePool = &st
-		}
 		fmt.Printf("host: allocs=%d alloc_bytes=%d gc_cycles=%d heap_sys_bytes=%d\n",
 			hm.Allocs, hm.AllocBytes, hm.GCCycles, hm.HeapSysBytes)
 		lc := hm.Lifecycle
-		fmt.Printf("lifecycle: memo_hits=%d memo_misses=%d machines_built=%d machine_reuses=%d input_hits=%d input_misses=%d snapshot_hits=%d snapshot_misses=%d snapshot_base_hits=%d snapshot_base_misses=%d\n",
-			lc.MemoHits, lc.MemoMisses, lc.MachinesBuilt, lc.MachineReuses, lc.InputHits, lc.InputMisses,
-			lc.SnapshotHits, lc.SnapshotMisses, lc.SnapshotBaseHits, lc.SnapshotBaseMisses)
-		// The copy-on-write line: page copies triggered by first writes to
-		// shared pages, restores skipped by the image-digest stamp, and the
-		// post-run page census summed over cells — sharing = shared pages /
-		// all pages, the fraction of live machine memory still aliased to
-		// snapshot images when cells finish.
-		sharing := 0.0
-		if tot := lc.SharedPages + lc.PrivatePages; tot > 0 {
-			sharing = float64(lc.SharedPages) / float64(tot)
-		}
-		fmt.Printf("cow: page_copies=%d restore_skips=%d shared_pages=%d private_pages=%d sharing=%.3f\n",
-			lc.CowPageCopies, lc.RestoreSkips, lc.SharedPages, lc.PrivatePages, sharing)
+		fmt.Printf("lifecycle: memo_hits=%d memo_misses=%d machines_built=%d machine_reuses=%d input_hits=%d input_misses=%d\n",
+			lc.MemoHits, lc.MemoMisses, lc.MachinesBuilt, lc.MachineReuses, lc.InputHits, lc.InputMisses)
 		// Per-cell wall time: total versus slowest single cell. A max close
 		// to the total means the sweep is one simulation-bound cell — the
 		// profile-me signal shapes like vacation used to hide.
 		fmt.Printf("cells: total_wall_ms=%.1f max_cell_wall_ms=%.1f\n",
 			float64(lc.CellWallNS)/1e6, float64(lc.MaxCellWallNS)/1e6)
-		if hm.InputsArena != nil || hm.SnapshotsArena != nil || hm.MachinePool != nil {
-			fmt.Printf("arenas:")
-			if st := hm.InputsArena; st != nil {
-				fmt.Printf(" inputs{size=%d hits=%d misses=%d}", st.Size, st.Hits, st.Misses)
-			}
-			if st := hm.SnapshotsArena; st != nil {
-				// dedup is the content-dedup ratio of all pages ever interned:
-				// the fraction that resolved to an already-pooled payload
-				// instead of adding a new one.
-				dedup := 0.0
-				if tot := st.PagesInterned + st.PagesDeduped; tot > 0 {
-					dedup = float64(st.PagesDeduped) / float64(tot)
-				}
-				fmt.Printf(" snapshots{size=%d hits=%d misses=%d base_size=%d base_hits=%d base_misses=%d pool_pages=%d page_dedup=%.3f}",
-					st.Size, st.Hits, st.Misses, st.BaseSize, st.BaseHits, st.BaseMisses, st.PoolPages, dedup)
-			}
-			if st := hm.MachinePool; st != nil {
-				fmt.Printf(" machines{size=%d hits=%d misses=%d}", st.Size, st.Hits, st.Misses)
-			}
-			fmt.Println(" (cumulative over this invocation)")
+		if st := hm.InputsArena; st != nil {
+			fmt.Printf("arenas: inputs{size=%d hits=%d misses=%d} (cumulative over this invocation)\n",
+				st.Size, st.Hits, st.Misses)
 		}
 		if jsonFile != nil {
 			if err := json.NewEncoder(jsonFile).Encode(map[string]hostMetrics{"host_metrics": hm}); err != nil {

@@ -23,18 +23,16 @@ func main() {
 		name    = flag.String("workload", "counter", "counter|refcount|list-enq|list-mixed|oput|topk|boruvka|kmeans|ssca2|genome|vacation")
 		threads = flag.Int("threads", 16, "hardware threads (1-128)")
 		proto   = flag.String("protocol", "commtm", "commtm|baseline|commtm-nogather")
-		ops     = flag.Int("ops", 30000, "operation count (micro workloads)")
+		ops     = flag.Int("ops", 30000, "operation count (every workload except boruvka and kmeans, whose sizes are fixed)")
 		seed    = flag.Uint64("seed", 1, "simulation seed")
 	)
 	flag.Parse()
-	// Out-of-range sizes are usage errors, reported before anything runs:
-	// a thread count the machine cannot build would otherwise fail as a
-	// "validation" error, and zero ops prints an all-zero table.
-	if *threads < 1 || *threads > commtm.MaxThreads {
-		usage(fmt.Sprintf("bad -threads %d (want 1..%d)", *threads, commtm.MaxThreads))
-	}
-	if *ops < 1 {
-		usage(fmt.Sprintf("bad -ops %d (want at least 1)", *ops))
+	opsSet := false
+	flag.Visit(func(f *flag.Flag) { opsSet = opsSet || f.Name == "ops" })
+	if err := checkSizes(*name, *threads, *ops, opsSet); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	spec := func(name string, mk func() harness.Workload) harness.Spec {
@@ -88,9 +86,20 @@ func main() {
 		st.LabeledOps, st.Instructions, 100*st.LabeledFraction())
 }
 
-// usage reports a bad flag value with the flag summary and exits 2.
-func usage(msg string) {
-	fmt.Fprintln(os.Stderr, msg)
-	flag.Usage()
-	os.Exit(2)
+// checkSizes validates the sizing flags before anything runs: a thread
+// count the machine cannot build would otherwise fail as a "validation"
+// error, zero ops prints an all-zero table, and -ops given explicitly to
+// boruvka or kmeans (whose constructors take fixed sizes) would be silently
+// ignored. opsSet reports whether -ops was on the command line.
+func checkSizes(workload string, threads, ops int, opsSet bool) error {
+	if threads < 1 || threads > commtm.MaxThreads {
+		return fmt.Errorf("bad -threads %d (want 1..%d)", threads, commtm.MaxThreads)
+	}
+	if ops < 1 {
+		return fmt.Errorf("bad -ops %d (want at least 1)", ops)
+	}
+	if opsSet && (workload == "boruvka" || workload == "kmeans") {
+		return fmt.Errorf("-ops does not apply to %s (its input size is fixed)", workload)
+	}
+	return nil
 }

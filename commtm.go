@@ -108,10 +108,10 @@ type Config struct {
 // (DefineLabel, Alloc*, MemWrite64) prepare simulated memory, Run executes
 // one parallel region, and Reset returns the machine to its pristine
 // post-New state without freeing any memory, ready for another
-// prepare/Run cycle. Sweeps reuse one machine per configuration across many
-// cells (internal/sweep), moving allocation from per-cell to per-worker;
-// the golden conformance gate proves a Reset machine replays a fresh one
-// bit-identically.
+// prepare/Run cycle. Each sweep worker keeps one machine and Resets it
+// between consecutive cells of one configuration (internal/sweep), moving
+// allocation from per-cell to per-worker; the golden conformance gate proves
+// a Reset machine replays a fresh one bit-identically.
 type Machine struct {
 	cfg   Config
 	store *mem.Store
@@ -122,16 +122,7 @@ type Machine struct {
 	ran   bool
 
 	cycles uint64 // parallel-region length after Run
-	resets uint64 // lifetime ResetSeed count (Reset/Restore included)
-
-	// Image-digest stamp: when stamped, the machine's architectural state is
-	// bit-identical to the image whose digest is imgDigest (set by Restore
-	// and Snapshot, cleared by anything that mutates architectural state).
-	// Restore consults it to skip redundant restores entirely. A separate
-	// bool is required because 0 is a legal digest value.
-	imgDigest    uint64
-	imgStamped   bool
-	restoreSkips uint64 // lifetime count of stamp-matched Restore no-ops
+	resets uint64 // lifetime ResetSeed count
 }
 
 // MaxThreads is the largest Config.Threads New accepts: one hardware thread
@@ -183,11 +174,11 @@ func New(cfg Config) *Machine {
 // bit-identically to a freshly built one — TestGoldenConformance runs the
 // golden matrix with reuse on and off to prove Reset leaks no state. Reset
 // is also safe after a run that panicked (the kernel drains its procs
-// before propagating), which is how sweep workers recover their arenas.
+// before propagating).
 func (m *Machine) Reset() { m.ResetSeed(m.cfg.Seed) }
 
 // ResetSeed is Reset with a different PRNG seed: afterwards the machine is
-// indistinguishable from New with Config.Seed = seed. Sweep arenas use it
+// indistinguishable from New with Config.Seed = seed. Sweep workers use it
 // to reuse one machine across cells that differ only in seed.
 func (m *Machine) ResetSeed(seed uint64) {
 	m.resets++
@@ -199,284 +190,17 @@ func (m *Machine) ResetSeed(seed uint64) {
 	m.alloc.Reset()
 	m.ran = false
 	m.cycles = 0
-	m.imgStamped = false
 }
 
 // ResetCount returns how many times the machine has been ResetSeed over its
-// lifetime (Reset and Restore both reset). It is host-side lifecycle
-// telemetry — never zeroed by Reset itself — and exists so tests can pin
-// the reset cost of a lifecycle path: a snapshot-arena hit must reset
-// exactly once (inside Restore), not once at acquire and again at Restore.
+// lifetime. It is host-side lifecycle telemetry — never zeroed by Reset
+// itself — and exists so tests can pin the reset cost of a lifecycle path:
+// a reused machine resets exactly once per cell, a fresh one not at all.
 func (m *Machine) ResetCount() uint64 { return m.resets }
-
-// Image is an immutable, content-addressed snapshot of a machine's complete
-// post-Setup architectural state: the backing-store pages, the allocator
-// break, the label registry, and every PRNG position. Machine.Snapshot
-// captures one by sealing the live store's 4 KiB pages and aliasing them —
-// no page payload is copied at capture; Machine.Restore adopts the same
-// page pointers back on top of the generation-stamp Reset, so a repeated
-// cell skips Setup entirely and the only page copies ever made are
-// copy-on-write copies of pages the restored machine actually dirties.
-// Images are shared read-only across goroutines — the snapshot arena
-// (internal/workloads/snapshots) hands one image to every worker restoring
-// the same configuration.
-type Image struct {
-	cfg    Config
-	store  *mem.StoreImage
-	brk    Addr
-	labels []LabelSpec
-	rands  []engine.ProcRands
-	msRand uint64
-	digest uint64
-}
-
-// Config returns the configuration (seed included) the image was captured
-// under; Restore replays that seed.
-func (img *Image) Config() Config { return img.cfg }
-
-// Digest returns the image's content address: an FNV-1a hash over the
-// captured memory contents, allocator break, label names, and PRNG
-// positions. Two Setups that produce bit-identical machine state produce
-// equal digests, so the digest identifies an image independently of which
-// worker captured it.
-func (img *Image) Digest() uint64 { return img.digest }
-
-// Bytes returns the logical size of the image's page payloads — what a
-// whole-page-copy image would occupy. The resident footprint is smaller
-// whenever pages are shared with live stores or sibling images (see
-// Store.PageStats).
-func (img *Image) Bytes() int { return img.store.Bytes() }
-
-// Pages returns the number of 4 KiB pages the image references.
-func (img *Image) Pages() int { return img.store.Pages() }
-
-// Lines returns the number of captured simulated-memory lines.
-func (img *Image) Lines() int { return img.store.Lines() }
-
-// PageBytes is the machine's page granularity — the unit of copy-on-write
-// sharing between images and live machines, re-exported for telemetry
-// consumers converting page counts to bytes.
-const PageBytes = mem.PageBytes
-
-// Snapshot captures the machine's post-Setup state into an immutable Image.
-// It must be called after Setup-style preparation and before Run: snapshots
-// record installed state, not run outcomes (caches are empty and the
-// directory untouched at this point, which is exactly what Restore's Reset
-// reproduces). Calling it on a machine that has Run panics.
-func (m *Machine) Snapshot() *Image {
-	if m.ran {
-		panic("commtm: Machine.Snapshot after Run; snapshots capture post-Setup state (Reset first)")
-	}
-	img := &Image{
-		cfg:    m.cfg,
-		store:  m.store.Snapshot(),
-		brk:    m.alloc.Brk(),
-		labels: m.ms.SnapshotLabels(),
-		rands:  m.k.SnapshotRands(),
-		msRand: m.ms.SnapshotRand(),
-	}
-	h := m.MemDigest() // store is authoritative pre-Run
-	h = digestWord(h, uint64(img.brk))
-	h = digestWord(h, img.msRand)
-	for _, r := range img.rands {
-		h = digestWord(h, r.Arch)
-		h = digestWord(h, r.Sys)
-	}
-	for _, l := range img.labels {
-		// Length-prefix the name so label tables like ["ab","c"] and
-		// ["a","bc"] cannot digest equal.
-		h = digestWord(h, uint64(len(l.Name)))
-		for i := 0; i < len(l.Name); i++ {
-			h = digestWord(h, uint64(l.Name[i]))
-		}
-		h = digestWord(h, l.ReduceCost)
-		h = digestWord(h, l.SplitCost)
-	}
-	img.digest = h
-	// The machine's state is, by construction, bit-identical to the image it
-	// just captured: stamp it so an immediate Restore of this image (or a
-	// content-equal one) is a no-op.
-	m.imgDigest, m.imgStamped = h, true
-	return img
-}
-
-// Restore reinstates a captured Image: a full ResetSeed to the image's seed,
-// then pointer adoption of the image's sealed backing-store pages (no page
-// copies — the store copies a page on its first write into it), the
-// allocator break, the label registry, and the PRNG positions. Afterwards
-// the machine is bit-identical to the one Snapshot observed —
-// TestGoldenConformance runs the golden matrix with snapshots on and off to
-// prove Restore replays Setup exactly.
-//
-// Restore is a no-op when the machine's image-digest stamp already matches
-// the requested image: a machine that was just restored from (or just
-// captured) a content-equal image and has not mutated architectural state
-// since is already in the target state, so not even the Reset runs
-// (TestRestoreSkipZeroWork pins zero resets and zero page copies on the
-// skip path).
-// The image must come from a machine with the same thread count and cache
-// geometry; Restore panics otherwise (restoring across geometries would
-// silently misconfigure the caches). The protocol variant and gather knob
-// are deliberately NOT part of the check: Setup installs state identically
-// for every variant (the protocol only changes how Run interprets it), and
-// sharing one image across a configuration's variants is where the sweep
-// engine's snapshot hits come from.
-func (m *Machine) Restore(img *Image) {
-	mc, ic := m.cfg, img.cfg
-	mc.Seed, ic.Seed = 0, 0
-	mc.Protocol, ic.Protocol = 0, 0
-	mc.DisableGather, ic.DisableGather = false, false
-	if mc != ic {
-		panic(fmt.Sprintf("commtm: Restore of image captured under %+v onto machine configured %+v", img.cfg, m.cfg))
-	}
-	if m.imgStamped && m.imgDigest == img.digest && m.cfg.Seed == img.cfg.Seed {
-		m.restoreSkips++
-		return
-	}
-	m.ResetSeed(img.cfg.Seed)
-	m.store.Restore(img.store)
-	m.alloc.Restore(img.brk)
-	m.ms.RestoreLabels(img.labels)
-	m.ms.RestoreRand(img.msRand)
-	m.k.RestoreRands(img.rands)
-	m.imgDigest, m.imgStamped = img.digest, true
-}
-
-// BaseImage is the geometry-invariant half of a split machine image: the
-// backing-store pages, the allocator break, and the label registry — no PRNG
-// positions and no thread count. A workload whose Setup installs identical
-// state at every thread count (snapshots.ThreadInvariant) captures one base
-// per parameter point and adopts it across the whole thread sweep;
-// RestoreBase reinstates it on a machine of any geometry by ResetSeed +
-// page-pointer adoption, with the PRNG streams correct by construction
-// (capture requires them pristine, and ResetSeed re-derives exactly the
-// pristine positions for the target geometry).
-type BaseImage struct {
-	cfg    Config // capturing machine's config; Threads advisory only
-	store  *mem.StoreImage
-	brk    Addr
-	labels []LabelSpec
-	digest uint64
-}
-
-// Config returns the configuration of the machine the base was captured
-// from. Unlike Image.Config, the Threads field is informational: a base is
-// adoptable at any thread count.
-func (b *BaseImage) Config() Config { return b.cfg }
-
-// Digest returns the base's content address: an FNV-1a hash over memory
-// contents, allocator break, and label names — deliberately excluding PRNG
-// positions and thread count, so bases captured at different geometries from
-// the same Setup digest equal.
-func (b *BaseImage) Digest() uint64 { return b.digest }
-
-// Pages returns the number of 4 KiB pages the base references.
-func (b *BaseImage) Pages() int { return b.store.Pages() }
-
-// Lines returns the number of captured simulated-memory lines.
-func (b *BaseImage) Lines() int { return b.store.Lines() }
-
-// SnapshotBase captures the geometry-invariant half of the machine's
-// post-Setup state. Like Snapshot it must run between Setup and Run (panics
-// after Run). It additionally requires every PRNG stream to still sit at its
-// post-Reset derivation: a base records no PRNG positions, so adopting one at
-// another thread count is only exact if the positions were derivable from
-// (seed, proc index) alone. A Setup that draws from machine RNGs trips the
-// panic and the workload must not declare SnapshotThreadInvariant.
-// SnapshotBase does not stamp the machine's image digest (the stamp tracks
-// full-image identity, which includes geometry).
-func (m *Machine) SnapshotBase() *BaseImage {
-	if m.ran {
-		panic("commtm: Machine.SnapshotBase after Run; base images capture post-Setup state (Reset first)")
-	}
-	if !m.k.RandsPristine(m.cfg.Seed) || !m.ms.RandPristine(m.cfg.Seed) {
-		panic("commtm: Machine.SnapshotBase with non-pristine PRNG streams; Setup drew from machine RNGs, so its state is not thread-invariant")
-	}
-	b := &BaseImage{
-		cfg:    m.cfg,
-		store:  m.store.Snapshot(),
-		brk:    m.alloc.Brk(),
-		labels: m.ms.SnapshotLabels(),
-	}
-	h := m.MemDigest()
-	h = digestWord(h, uint64(b.brk))
-	for _, l := range b.labels {
-		h = digestWord(h, uint64(len(l.Name)))
-		for i := 0; i < len(l.Name); i++ {
-			h = digestWord(h, uint64(l.Name[i]))
-		}
-		h = digestWord(h, l.ReduceCost)
-		h = digestWord(h, l.SplitCost)
-	}
-	b.digest = h
-	return b
-}
-
-// RestoreBase reinstates a base image on a machine of any thread count: a
-// full ResetSeed to the given seed, then pointer adoption of the base's
-// sealed pages, the allocator break, and the label registry. The PRNG
-// streams are left at their post-ResetSeed derivations, which is exactly
-// where the capturing machine's streams sat (SnapshotBase requires it).
-// Cache geometry must still match — only the thread count, seed, protocol,
-// and gather knob may differ. RestoreBase never stamp-skips: the caller is
-// about to adopt per-workload host state and capture a full per-geometry
-// Image on top, so the reset always runs.
-func (m *Machine) RestoreBase(b *BaseImage, seed uint64) {
-	mc, bc := m.cfg, b.cfg
-	mc.Seed, bc.Seed = 0, 0
-	mc.Protocol, bc.Protocol = 0, 0
-	mc.DisableGather, bc.DisableGather = false, false
-	mc.Threads, bc.Threads = 0, 0
-	if mc != bc {
-		panic(fmt.Sprintf("commtm: RestoreBase of base captured under %+v onto machine configured %+v", b.cfg, m.cfg))
-	}
-	m.ResetSeed(seed)
-	m.store.Restore(b.store)
-	m.alloc.Restore(b.brk)
-	m.ms.RestoreLabels(b.labels)
-}
-
-// PagePool is a content-addressed registry of sealed store pages shared
-// across images; see mem.PagePool. The snapshot arena interns every captured
-// image (full and base) into one pool so bit-identical pages alias a single
-// payload even across unrelated arena keys.
-type PagePool = mem.PagePool
-
-// PagePoolStats is a point-in-time snapshot of a PagePool's counters.
-type PagePoolStats = mem.PagePoolStats
-
-// NewPagePool returns an empty content-addressed page pool.
-func NewPagePool() *PagePool { return mem.NewPagePool() }
-
-// InternPages registers the image's store pages in the pool, rewriting them
-// to the pool's canonical payloads. Must happen before the image is shared
-// with concurrent readers.
-func (img *Image) InternPages(p *PagePool) { p.Intern(img.store) }
-
-// InternPages registers the base's store pages in the pool; see
-// Image.InternPages.
-func (b *BaseImage) InternPages(p *PagePool) { p.Intern(b.store) }
-
-// RestoreSkips returns how many Restore calls were satisfied by the
-// image-digest stamp alone (no Reset, no page work) over the machine's
-// lifetime. Host-side telemetry, never zeroed by Reset.
-func (m *Machine) RestoreSkips() uint64 { return m.restoreSkips }
-
-// CowCopies returns the cumulative number of sealed backing-store pages the
-// machine has copied before a write — the only whole-page copies the
-// copy-on-write snapshot scheme performs. Host-side telemetry, never zeroed
-// by Reset.
-func (m *Machine) CowCopies() uint64 { return m.store.CowCopies() }
-
-// PageStats counts the backing store's materialized pages: shared pages
-// alias a snapshot image's sealed payload, private pages are owned by this
-// machine alone. The shared fraction is the page-sharing ratio reported in
-// commtm-bench host-metrics lines.
-func (m *Machine) PageStats() (shared, private int) { return m.store.PageStats() }
 
 // Close releases the machine's coroutine pool (one parked goroutine per
 // hardware thread, kept across runs so Reset+Run is allocation-free).
-// Callers that discard machines in a long-lived process — sweep arenas,
+// Callers that discard machines in a long-lived process — sweep workers,
 // servers — should Close them; short-lived programs can skip it (the
 // goroutines end with the process). Close is idempotent and non-terminal:
 // a closed machine rebuilds its pool on the next Run.
@@ -496,26 +220,22 @@ func ArchRand(seed uint64, tid int) *RNG { return engine.ArchRand(seed, tid) }
 // DefineLabel registers a commutative-operation label (at most 8, the
 // architectural limit; virtualize in software beyond that, Sec. III-D).
 func (m *Machine) DefineLabel(spec LabelSpec) LabelID {
-	m.imgStamped = false
 	return m.ms.RegisterLabel(spec)
 }
 
 // Alloc reserves simulated memory: size bytes at the given power-of-two
 // alignment.
 func (m *Machine) Alloc(size, align int) Addr {
-	m.imgStamped = false
 	return m.alloc.Alloc(size, align)
 }
 
 // AllocLines reserves n line-aligned cache lines.
 func (m *Machine) AllocLines(n int) Addr {
-	m.imgStamped = false
 	return m.alloc.AllocLines(n)
 }
 
 // AllocWords reserves n word-aligned 64-bit words.
 func (m *Machine) AllocWords(n int) Addr {
-	m.imgStamped = false
 	return m.alloc.AllocWords(n)
 }
 
@@ -523,7 +243,6 @@ func (m *Machine) AllocWords(n int) Addr {
 // Use before Run; writing lines that are already cached panics via Drain
 // invariants rather than silently diverging.
 func (m *Machine) MemWrite64(a Addr, v uint64) {
-	m.imgStamped = false
 	m.store.Write64(a, v)
 }
 
@@ -540,7 +259,6 @@ func (m *Machine) Run(body func(t *Thread)) {
 		panic("commtm: Machine.Run called twice; Reset the machine (or build a fresh one) per run")
 	}
 	m.ran = true
-	m.imgStamped = false
 	k := m.k
 	k.Run(func(p *engine.Proc) {
 		body(m.rt.NewThread(p))

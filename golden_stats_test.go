@@ -61,13 +61,9 @@ func goldenCells() []sweep.Cell {
 	return experiments.GoldenCells(goldenOptions())
 }
 
-func runGoldenMatrix(t *testing.T, reuse sweep.Reuse, in sweep.InputMode, sn sweep.SnapshotMode) sweep.Results {
+func runGoldenMatrix(t *testing.T, reuse sweep.Reuse, in sweep.InputMode) sweep.Results {
 	t.Helper()
-	return runGoldenEngine(t, sweep.Engine{Workers: 0, Reuse: reuse, InputMode: in, SnapshotMode: sn})
-}
-
-func runGoldenEngine(t *testing.T, eng sweep.Engine) sweep.Results {
-	t.Helper()
+	eng := sweep.Engine{Workers: 0, Reuse: reuse, InputMode: in}
 	rs, err := eng.Run(goldenCells())
 	if err != nil {
 		t.Fatalf("golden matrix run failed: %v", err)
@@ -78,32 +74,27 @@ func runGoldenEngine(t *testing.T, eng sweep.Engine) sweep.Results {
 	return rs
 }
 
-// TestGoldenConformance gates hot-path, lifecycle, input-arena, and
-// machine-image-snapshot refactors on cycle-exactness: every cell of the
-// golden matrix (the reduced conformance matrix — 6 workloads × 3 variants
-// × {1,8,32} threads × 2 seeds — plus the geometry-swept group) must
-// reproduce the committed per-cell Stats and memory digests bit-identically,
-// in every combination of machine-arena reuse, workload-input arenas, and
-// snapshots. The reuse-on pass is the lifecycle proof: a Reset machine that
-// leaked any state between cells (cache lines, directory seen bits, RNG
-// position, allocator offsets) would diverge from the goldens recorded on
-// fresh machines. The inputs-on passes are the replay proof: a cached input
-// or precomputed op stream that differed in any way from fresh generation
-// (a draw out of order, a mutated graph) would diverge the same way. The
-// snapshots-on passes are the restore proof: a cell whose Setup was skipped
-// and replaced by Machine.Restore + host-state adoption must be
-// indistinguishable from one that ran Setup — any missed state (a store
-// line, the allocator break, a label, an RNG position, a host-side slice)
-// diverges here. Any divergence is a real behavior change — root-cause it
-// rather than re-baselining (golden drift gets its own fix + regression
-// test).
+// TestGoldenConformance gates hot-path, lifecycle and input-arena
+// refactors on cycle-exactness: every cell of the golden matrix (the reduced
+// conformance matrix — 6 workloads × 3 variants × {1,8,32} threads × 2
+// seeds — plus the geometry-swept group) must reproduce the committed
+// per-cell Stats and memory digests bit-identically, in every combination of
+// machine reuse and workload-input arenas. The reuse-on passes are the
+// lifecycle proof: a Reset machine that leaked any state between cells
+// (cache lines, directory seen bits, RNG position, allocator offsets) would
+// diverge from the goldens recorded on fresh machines. The inputs-on passes
+// are the replay proof: a cached input or precomputed op stream that
+// differed in any way from fresh generation (a draw out of order, a mutated
+// graph) would diverge the same way. Any divergence is a real behavior
+// change — root-cause it rather than re-baselining (golden drift gets its
+// own fix + regression test).
 func TestGoldenConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden matrix runs at fixed scale; skipped in -short")
 	}
 	// The baseline pass regenerates everything per cell, like the revision
 	// the goldens were recorded at.
-	rs := runGoldenMatrix(t, sweep.ReuseOff, sweep.InputsOff, sweep.SnapshotsOff)
+	rs := runGoldenMatrix(t, sweep.ReuseOff, sweep.InputsOff)
 
 	if *updateGolden {
 		cells := make([]goldenCell, 0, len(rs))
@@ -147,50 +138,53 @@ func TestGoldenConformance(t *testing.T) {
 	if len(want) != len(rs) {
 		t.Errorf("golden file has %d cells, matrix produced %d", len(want), len(rs))
 	}
-	checkAgainstGolden(t, rs, want, "reuse=off,inputs=off,snapshots=off")
+	checkAgainstGolden(t, rs, want, "reuse=off,inputs=off")
 
 	// Remaining passes against the same goldens: machine reuse alone, input
-	// arenas alone, both on, and snapshots layered on top — once over the
-	// full-reuse default (the engine's production shape) and once over fresh
-	// machines with fresh inputs (so a Restore bug cannot hide behind Reset
-	// reuse or cached-input replay).
-	checkAgainstGolden(t, runGoldenMatrix(t, sweep.ReuseOn, sweep.InputsOff, sweep.SnapshotsOff), want, "reuse=on,inputs=off,snapshots=off")
-	checkAgainstGolden(t, runGoldenMatrix(t, sweep.ReuseOff, sweep.InputsOn, sweep.SnapshotsOff), want, "reuse=off,inputs=on,snapshots=off")
-	checkAgainstGolden(t, runGoldenMatrix(t, sweep.ReuseOn, sweep.InputsOn, sweep.SnapshotsOff), want, "reuse=on,inputs=on,snapshots=off")
-	checkAgainstGolden(t, runGoldenMatrix(t, sweep.ReuseOn, sweep.InputsOn, sweep.SnapshotsOn), want, "reuse=on,inputs=on,snapshots=on")
-	checkAgainstGolden(t, runGoldenMatrix(t, sweep.ReuseOff, sweep.InputsOff, sweep.SnapshotsOn), want, "reuse=off,inputs=off,snapshots=on")
+	// arenas alone, and both on (the engine's production shape).
+	checkAgainstGolden(t, runGoldenMatrix(t, sweep.ReuseOn, sweep.InputsOff), want, "reuse=on,inputs=off")
+	checkAgainstGolden(t, runGoldenMatrix(t, sweep.ReuseOff, sweep.InputsOn), want, "reuse=off,inputs=on")
+	checkAgainstGolden(t, runGoldenMatrix(t, sweep.ReuseOn, sweep.InputsOn), want, "reuse=on,inputs=on")
+}
 
-	// Thread-invariant split snapshots: the golden matrix sweeps counter and
-	// oput (both ThreadInvariant opt-ins) across threads {1,8,32}, so with
-	// snapshots on the split path must take base hits — the 8- and 32-thread
-	// cells adopt the 1-thread cell's base image via RestoreBase instead of
-	// running Setup — while every cell still reproduces the committed goldens
-	// bit-identically. A base image that dropped any state (a store line, the
-	// brk, a label) or a PRNG position that survived adoption diverges here.
-	// The goldens are NOT re-baselined for this mode.
-	tiRM := &sweep.RunMetrics{}
-	tiEng := sweep.Engine{
-		Workers: 0, Reuse: sweep.ReuseOn, InputMode: sweep.InputsOn,
-		SnapshotMode: sweep.SnapshotsOn, Metrics: tiRM,
+// TestOneMachinePerWorker pins the reuse policy over the golden matrix: a
+// single worker builds a machine exactly when the arena key (configuration
+// modulo seed) of the next cell it runs differs from the previous one's,
+// and Reset-reuses its machine for every other cell.
+func TestOneMachinePerWorker(t *testing.T) {
+	cells := goldenCells()
+	var keys []commtm.Config // arena keys in the order the worker ran the cells
+	for i := range cells {
+		mk := cells[i].Mk
+		key := cells[i].Config()
+		key.Seed = 0
+		cells[i].Mk = func() sweep.Workload {
+			keys = append(keys, key) // Workers: 1, so no concurrent appends
+			return mk()
+		}
 	}
-	checkAgainstGolden(t, runGoldenEngine(t, tiEng), want, "thread-invariant")
-	if tiRM.SnapshotBaseHits == 0 {
-		t.Errorf("golden matrix took no base-image hits; the thread-invariant split path is not engaging (metrics: %+v)", tiRM)
+	rm := &sweep.RunMetrics{}
+	rs, err := (&sweep.Engine{Workers: 1, Reuse: sweep.ReuseOn, Metrics: rm}).Run(cells)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Cross-sweep machine pool: two consecutive runs share one externally
-	// owned pool, so the second run executes almost entirely on machines
-	// built (and mutated) by the first and reset at acquire. Both runs must
-	// still reproduce the committed goldens bit-identically — a machine that
-	// leaked any state across *sweeps* (not just across cells) diverges in
-	// run 2. The goldens are NOT re-baselined for this mode.
-	pool := sweep.NewMachinePool()
-	defer pool.Close()
-	poolEng := sweep.Engine{Workers: 0, Reuse: sweep.ReuseOn, InputMode: sweep.InputsOn, SnapshotMode: sweep.SnapshotsOn, Machines: pool}
-	checkAgainstGolden(t, runGoldenEngine(t, poolEng), want, "pool=on,run=1")
-	checkAgainstGolden(t, runGoldenEngine(t, poolEng), want, "pool=on,run=2")
-	if pool.Len() == 0 {
-		t.Errorf("cross-sweep pool is empty after two runs; machines were not persisted")
+	if err := rs.FirstErr(); err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != len(cells) {
+		t.Fatalf("ran %d cells, want %d", len(keys), len(cells))
+	}
+	changes := 0
+	for i, k := range keys {
+		if i == 0 || k != keys[i-1] {
+			changes++
+		}
+	}
+	if rm.MachinesBuilt != int64(changes) {
+		t.Errorf("machines_built = %d, want %d (arena-key changes in run order)", rm.MachinesBuilt, changes)
+	}
+	if rm.MachineReuses != int64(len(cells)-changes) {
+		t.Errorf("machine_reuses = %d, want %d (cells - builds)", rm.MachineReuses, len(cells)-changes)
 	}
 }
 

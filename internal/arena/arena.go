@@ -1,17 +1,15 @@
-// Package arena is the generic keyed-singleflight core beneath the repo's
-// caching clients: the workload-input arena (internal/workloads/inputs),
-// the machine-image snapshot arena (internal/workloads/snapshots), the
-// sweep engine's machine pool and its result memo (internal/sweep). All of
-// them need the same subtle machinery — per-key singleflight with
-// publish-before-value entries and panic unpublish with waiter wakeup — and
-// before this package existed they were hand-synced copies that had already
-// drifted (a waiter woken by a panicked owner could count both a hit and a
-// miss for one Load). The contract every client relies on is documented in
-// EXPERIMENTS.md "The generic arena contract".
+// Package arena is the generic keyed-singleflight cache beneath the repo's
+// two caches: the workload-input arena (internal/workloads/inputs) and the
+// sweep engine's result memo (internal/sweep). Both need the same subtle
+// machinery — per-key singleflight with publish-before-value entries and
+// panic unpublish with waiter wakeup — and before this package existed they
+// were hand-synced copies that had already drifted (a waiter woken by a
+// panicked owner could count both a hit and a miss for one Load). The
+// contract every client relies on is documented in EXPERIMENTS.md "The
+// generic arena contract".
 //
-// An arena is unbounded for the life of its owner: nothing is ever evicted.
-// An entry leaves only through Remove or RemoveAll, which the caller
-// invokes explicitly.
+// An arena is a mutex and a map, unbounded for the life of its owner:
+// nothing is ever evicted or removed.
 //
 // The core guarantees, in brief:
 //
@@ -25,9 +23,6 @@
 //   - Exactly one outcome per Load: every Load increments exactly one of
 //     Hits or Misses, whether it hits a settled entry, waits out an
 //     in-flight one, generates, or panics while generating.
-//   - Release hooks run outside the arena lock, so a hook that re-enters
-//     the arena (or is merely slow) can neither deadlock nor stall
-//     concurrent Loads.
 package arena
 
 import "sync"
@@ -56,20 +51,13 @@ type entry[K comparable, V any] struct {
 	key   K
 	val   V
 	ready chan struct{}
-	done  bool // val is set; only done entries are returned or removed
+	done  bool // val is set; only done entries are returned
 }
 
 // Arena is a content-addressed, unbounded, concurrency-safe cache. The zero
 // value is a valid arena; a nil *Arena is also valid and always generates
 // fresh (nil-arena semantics every client preserves).
 type Arena[K comparable, V any] struct {
-	// OnRelease, when non-nil, runs for every value leaving the arena
-	// through Remove or RemoveAll — the client's close policy. It must be
-	// set before first use. It is always called OUTSIDE the arena lock: a
-	// hook may re-enter the arena or take arbitrarily long without
-	// deadlocking or stalling other callers.
-	OnRelease func(K, V)
-
 	mu      sync.Mutex
 	entries map[K]*entry[K, V]
 	hits    uint64
@@ -79,10 +67,9 @@ type Arena[K comparable, V any] struct {
 // Load returns the cached value for k, generating and caching it on a miss,
 // and reports whether the value came from cache. gen must be a pure
 // function of k (same key, same value). Misses are single-flighted per key,
-// so two concurrent Loads of one key receive the SAME value — clients
-// caching mutable values (the machine pool) must partition their key space
-// so that never happens. A nil arena calls gen directly and reports
-// hit=false.
+// so two concurrent Loads of one key receive the SAME value, which is why
+// only immutable values belong in an arena. A nil arena calls gen directly
+// and reports hit=false.
 func (a *Arena[K, V]) Load(k K, gen func() V) (V, bool) {
 	if a == nil {
 		return gen(), false
@@ -154,8 +141,7 @@ func (a *Arena[K, V]) claim(k K) (e *entry[K, V], owner, hit bool) {
 // generate runs gen as e's owner. If gen panics, the pending entry is
 // unpublished and its waiters woken before the panic propagates — leaving
 // it would hang every later Load for the key on a never-closed ready
-// channel, wedging the sweep engine's panic containment. No release hook
-// runs for an abandoned entry: its value was never set.
+// channel, wedging the sweep engine's panic containment.
 func (a *Arena[K, V]) generate(e *entry[K, V], gen func() V) V {
 	settled := false
 	defer func() {
@@ -170,62 +156,6 @@ func (a *Arena[K, V]) generate(e *entry[K, V], gen func() V) V {
 	e.val = gen() // outside the lock: generation is the expensive part
 	settled = true
 	return e.val
-}
-
-// Remove drops k's settled value from the arena, running the release hook,
-// and reports whether anything was removed. In-flight entries are not
-// removable: a pending entry belongs to its generating owner and its
-// waiters.
-func (a *Arena[K, V]) Remove(k K) bool {
-	if a == nil {
-		return false
-	}
-	a.mu.Lock()
-	e := a.entries[k]
-	if e == nil || !e.done {
-		a.mu.Unlock()
-		return false
-	}
-	delete(a.entries, k)
-	a.mu.Unlock()
-	if a.OnRelease != nil {
-		a.OnRelease(e.key, e.val)
-	}
-	return true
-}
-
-// RemoveAll drops every settled value, running release hooks. In-flight
-// entries are left for their owners to settle.
-func (a *Arena[K, V]) RemoveAll() {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	var victims []*entry[K, V]
-	for k, e := range a.entries {
-		if e.done {
-			delete(a.entries, k)
-			victims = append(victims, e)
-		}
-	}
-	a.mu.Unlock()
-	if a.OnRelease != nil {
-		for _, v := range victims {
-			a.OnRelease(v.key, v.val)
-		}
-	}
-}
-
-// Contains reports whether k is present (settled or in flight). The sweep
-// scheduler's affinity heuristic uses it; unlike Get it counts no hit.
-func (a *Arena[K, V]) Contains(k K) bool {
-	if a == nil {
-		return false
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	_, ok := a.entries[k]
-	return ok
 }
 
 // Stats returns a snapshot of the arena's counters. Nil-safe.

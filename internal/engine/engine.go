@@ -167,57 +167,6 @@ func (k *Kernel) Reset(seed uint64) {
 	}
 }
 
-// RandsPristine reports whether every proc's PRNG streams still sit at their
-// post-Reset(seed) derivations — i.e. nothing has drawn from them since the
-// last Reset. Thread-invariant base snapshots rely on this: a base image
-// records no PRNG positions, which is only sound if the positions are fully
-// determined by (seed, proc index) at capture time.
-func (k *Kernel) RandsPristine(seed uint64) bool {
-	var tmp xrand.RNG
-	for i, p := range k.procs {
-		tmp.SeedDerived(seed, uint64(i))
-		if p.Rand.State() != tmp.State() {
-			return false
-		}
-		tmp.SeedDerived(seed, uint64(i)+1<<32)
-		if p.SysRand.State() != tmp.State() {
-			return false
-		}
-	}
-	return true
-}
-
-// ProcRands is one proc's captured PRNG positions: the architectural stream
-// (Proc.Rand) and the microarchitectural stream (Proc.SysRand).
-type ProcRands struct {
-	Arch, Sys uint64
-}
-
-// SnapshotRands captures every proc's PRNG positions for machine-image
-// snapshots. Post-Setup both streams are normally still at their post-Reset
-// derivations (Setup runs host-side and cannot reach Proc.Rand), but the
-// snapshot records the positions rather than assuming that, so a future
-// Setup path that does draw from machine RNGs stays correct.
-func (k *Kernel) SnapshotRands() []ProcRands {
-	rs := make([]ProcRands, len(k.procs))
-	for i, p := range k.procs {
-		rs[i] = ProcRands{Arch: p.Rand.State(), Sys: p.SysRand.State()}
-	}
-	return rs
-}
-
-// RestoreRands reinstates positions captured by SnapshotRands on a kernel
-// with the same proc count.
-func (k *Kernel) RestoreRands(rs []ProcRands) {
-	if len(rs) != len(k.procs) {
-		panic(fmt.Sprintf("engine: RestoreRands with %d streams for %d procs", len(rs), len(k.procs)))
-	}
-	for i, p := range k.procs {
-		p.Rand.Restore(rs[i].Arch)
-		p.SysRand.Restore(rs[i].Sys)
-	}
-}
-
 // Halt tears down the coroutine pool, releasing one parked goroutine per
 // proc. A kernel whose machine is being discarded should be halted, or its
 // goroutines live until process exit; a halted kernel remains fully usable

@@ -1,23 +1,23 @@
-package snapshots_test
+package experiments
 
 import (
 	"reflect"
 	"testing"
 
+	"commtm/internal/sweep"
 	"commtm/internal/workloads/apps"
 	"commtm/internal/workloads/micro"
-	"commtm/internal/workloads/snapshots"
 )
 
 // TestParamsSplitOnEveryConstructorArgument enforces the params contract
-// the snapshot arena and the sweep engine's result memo both key on: for
-// each of the ten workloads, changing any single constructor argument
-// changes SnapshotParams, so two different runs can never share a key.
+// the sweep engine's result memo keys on: for each of the ten workloads,
+// changing any single constructor argument changes Params, so two different
+// runs can never share a memo entry.
 // Every constructor stores its arguments in exported fields (List's Prime
 // is one more exported knob Setup reads), so the test perturbs each
 // exported field in turn and a newly added argument is covered unaided.
 func TestParamsSplitOnEveryConstructorArgument(t *testing.T) {
-	workloads := []snapshots.Snapshotter{
+	workloads := []sweep.Parameterized{
 		micro.NewCounter(100),
 		micro.NewRefcount(100, 16),
 		micro.NewList(100, 0.5),
@@ -32,9 +32,9 @@ func TestParamsSplitOnEveryConstructorArgument(t *testing.T) {
 	for _, w := range workloads {
 		v := reflect.ValueOf(w).Elem()
 		name := v.Type().Name()
-		base, ok := w.SnapshotParams()
+		base, ok := w.Params()
 		if !ok {
-			t.Errorf("%s: not snapshot-compatible", name)
+			t.Errorf("%s: declares no params", name)
 			continue
 		}
 		fields := 0
@@ -56,7 +56,7 @@ func TestParamsSplitOnEveryConstructorArgument(t *testing.T) {
 			default:
 				t.Fatalf("%s.%s: no perturbation for kind %s", name, f.Name, fv.Kind())
 			}
-			got, _ := clone.Interface().(snapshots.Snapshotter).SnapshotParams()
+			got, _ := clone.Interface().(sweep.Parameterized).Params()
 			if got == base {
 				t.Errorf("%s: changing %s leaves params %q unchanged", name, f.Name, base)
 			}

@@ -13,7 +13,6 @@ import (
 	"commtm"
 	"commtm/internal/sweep"
 	"commtm/internal/workloads/inputs"
-	"commtm/internal/workloads/snapshots"
 )
 
 // Workload is one benchmark: it allocates and initializes simulated memory,
@@ -21,21 +20,9 @@ import (
 // sequential reference. A Workload instance is single-use; build a fresh
 // one per machine. It is an alias of the sweep engine's workload interface,
 // so every harness workload runs on the parallel engine unchanged.
-//
-// Workloads may additionally implement Snapshotter, the machine-image
-// snapshot-compatibility hook: a workload whose Setup is a pure function of
-// (constructor params, seed, machine configuration) declares its canonical
-// parameter key and exposes/adopts its Setup-computed host state, letting
-// the engine skip Setup on repeated cells via Machine.Restore. A workload
-// whose Setup depends on anything outside that tuple — including machine
-// RNG draws it cannot replay — must return ok=false from SnapshotParams (or
-// not implement the interface), which opts it out per cell. See
-// EXPERIMENTS.md "The machine-image snapshot contract".
+// Workloads may additionally implement sweep.Parameterized, which lets the
+// result memo key their cells.
 type Workload = sweep.Workload
-
-// Snapshotter is the snapshot-compatibility hook workloads may implement;
-// see Workload.
-type Snapshotter = snapshots.Snapshotter
 
 // Variant labels one protocol configuration in a sweep.
 type Variant = sweep.Variant
@@ -334,30 +321,18 @@ type Options struct {
 	// sequentially, 0 uses all host cores (runtime.GOMAXPROCS).
 	Workers int
 	// Reuse selects the machine lifecycle of every sweep: the default
-	// (sweep.ReuseOn) runs cells on per-worker machine arenas; ReuseOff
-	// builds a fresh machine per cell.
+	// (sweep.ReuseOn) reuses one machine per worker; ReuseOff builds a
+	// fresh machine per cell.
 	Reuse sweep.Reuse
 	// Inputs selects the workload-input arena policy of every sweep: the
 	// default (sweep.InputsOn) caches generated inputs across cells;
 	// InputsOff regenerates them per cell.
 	Inputs sweep.InputMode
-	// Snapshots selects the machine-image snapshot policy of every sweep:
-	// the default (sweep.SnapshotsOn) captures post-Setup machine images
-	// and restores them on repeated cells; SnapshotsOff runs Setup per cell.
-	Snapshots sweep.SnapshotMode
-	// InputArena / SnapshotArena, when non-nil, are externally owned arenas
-	// every sweep run with these options shares (sweep.Engine.Inputs /
-	// Engine.Snapshots semantics): one commtm-bench invocation hands the
-	// same pair across all its figure sweeps so inputs and machine images
-	// cache process-wide.
-	InputArena    *inputs.Arena
-	SnapshotArena *snapshots.Arena
-	// MachinePool, when non-nil, is the machine-pool counterpart of
-	// InputArena/SnapshotArena: an externally owned cross-sweep pool
-	// (sweep.Engine.Machines semantics) so one commtm-bench invocation
-	// builds each (worker, configuration) machine once across all its
-	// figure sweeps. Only meaningful under ReuseOn.
-	MachinePool *sweep.MachinePool
+	// InputArena, when non-nil, is an externally owned input arena every
+	// sweep run with these options shares (sweep.Engine.Inputs semantics):
+	// one commtm-bench invocation hands it across all its figure sweeps so
+	// inputs cache process-wide.
+	InputArena *inputs.Arena
 	// DetSample/DetSampleSeed select the determinism oracle's sampled mode
 	// for the conformance experiment; zero DetSample re-runs every cell.
 	DetSample     float64
@@ -386,8 +361,7 @@ func DefaultOptions() Options {
 func (o Options) Engine() *sweep.Engine {
 	return &sweep.Engine{
 		Workers: o.Workers, Sinks: o.Sinks, FailFast: true,
-		Reuse: o.Reuse, InputMode: o.Inputs, SnapshotMode: o.Snapshots,
-		Inputs: o.InputArena, Snapshots: o.SnapshotArena, Machines: o.MachinePool,
+		Reuse: o.Reuse, InputMode: o.Inputs, Inputs: o.InputArena,
 		Memo: o.Memo, Metrics: o.Metrics,
 	}
 }
@@ -398,10 +372,7 @@ func (o Options) Oracle() sweep.OracleOptions {
 		Workers:       o.Workers,
 		Reuse:         o.Reuse,
 		InputMode:     o.Inputs,
-		Snapshots:     o.Snapshots,
 		InputArena:    o.InputArena,
-		SnapshotArena: o.SnapshotArena,
-		MachinePool:   o.MachinePool,
 		DetSample:     o.DetSample,
 		DetSampleSeed: o.DetSampleSeed,
 		Sinks:         o.Sinks,

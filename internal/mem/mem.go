@@ -11,7 +11,6 @@ package mem
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 )
 
 // Addr is a simulated physical byte address.
@@ -48,83 +47,26 @@ const (
 	lineInPageMsk = linesPerPage - 1
 )
 
-// PageBytes is the store's page granularity — the unit of copy-on-write
-// sharing between a live store and a snapshot image.
-const PageBytes = pageBytes
-
 // pageData is the payload of one 4 KiB page: the line array plus a bitmap of
 // which lines have been materialized (line granularity is preserved: Peek and
-// Len observe exactly the lines that Line has touched). Once sealed, a
-// pageData is immutable and may be aliased by any number of StoreImages and
-// live Stores simultaneously; a store must copy it before its next write
-// (copy-on-write). Sealing is monotonic — a sealed page never becomes
-// private again; stores drop their alias and the GC reclaims the page when
-// the last image referencing it dies.
+// Len observe exactly the lines that Line has touched).
 type pageData struct {
-	used   uint64
-	sealed bool
-	// digest is the page's content address (FNV-1a over the used bitmap and
-	// the used lines), computed once when the page is first sealed — sealed
-	// payloads are immutable, so it never goes stale. Private pages carry a
-	// meaningless zero; only sealed pages enter a PagePool.
-	digest uint64
-	lines  [linesPerPage]Line
+	used  uint64
+	lines [linesPerPage]Line
 }
 
-// FNV-1a 64-bit parameters for page content digests (the same function the
-// machine-level digests use, restated here so mem stays dependency-free).
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvWord(h, w uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= w & 0xff
-		h *= fnvPrime64
-		w >>= 8
-	}
-	return h
-}
-
-// contentDigest hashes the page's payload: the used bitmap plus every used
-// line's words. Lines outside the bitmap are guaranteed zero within the
-// capture epoch (see imagePage), so hashing only used lines is exact; the
-// bitmap is included because two pages with equal line contents but
-// different materialization (an all-zero line present vs absent) are
-// observably different through Peek/Len and must not pool together.
-func (pg *pageData) contentDigest() uint64 {
-	h := fnvWord(fnvOffset64, pg.used)
-	for m := pg.used; m != 0; m &= m - 1 {
-		l := &pg.lines[bits.TrailingZeros64(m)]
-		for _, w := range l {
-			h = fnvWord(h, w)
-		}
-	}
-	return h
-}
-
-// contentEqual reports whether two pages hold bit-identical payloads — the
-// collision check behind PagePool's digest chains. Both the bitmap and the
-// full line array must match (see contentDigest for why the bitmap counts).
-func contentEqual(a, b *pageData) bool {
-	return a.used == b.used && a.lines == b.lines
-}
-
-// pageSlot is a store's per-page view: the shared (or private) payload plus
-// the store generation the alias belongs to. A slot whose epoch trails the
-// store's is logically empty (Reset happened since); private stale pages are
-// re-zeroed lazily in place, sealed stale pages are dropped (they are
-// immutable, so revalidation must not touch them).
+// pageSlot is a store's per-page view: the page plus the store generation it
+// belongs to. A slot whose epoch trails the store's is logically empty
+// (Reset happened since) and is re-zeroed lazily in place on its next write.
 type pageSlot struct {
 	epoch uint64
 	data  *pageData
 }
 
-// revalidate brings a stale private page into the current generation: the
-// lines used in the previous generation are zeroed (only those — fresh pages
-// are already zero), the bitmap cleared. Cost is proportional to the lines
-// touched last generation. Must never run on a sealed page.
+// revalidate brings a stale page into the current generation: the lines
+// used in the previous generation are zeroed (only those — fresh pages are
+// already zero), the bitmap cleared. Cost is proportional to the lines
+// touched last generation.
 func (pg *pageData) revalidate() {
 	for m := pg.used; m != 0; m &= m - 1 {
 		pg.lines[bits.TrailingZeros64(m)] = Line{}
@@ -134,8 +76,8 @@ func (pg *pageData) revalidate() {
 
 // zeroLine is what ReadLine returns for lines that were never materialized:
 // all reads of absent memory observe zeroes, without forcing the store to
-// materialize (or copy-on-write) a page for a pure read. Callers must treat
-// ReadLine results as read-only.
+// materialize a page for a pure read. Callers must treat ReadLine results as
+// read-only.
 var zeroLine Line
 
 // Store is the canonical memory backing store, line granular. Lines are
@@ -149,18 +91,12 @@ var zeroLine Line
 //
 // Reset makes the store empty again without freeing pages: it bumps the
 // store epoch, invalidating every page in O(1); each page zeroes its stale
-// lines the next time it is touched. Reset cost is therefore independent of
+// lines the next time it is written. Reset cost is therefore independent of
 // capacity, and post-Reset reads observe zeroes exactly as a fresh store.
-//
-// Snapshot seals the store's current pages and aliases them into an
-// immutable StoreImage instead of copying; Restore adopts an image's page
-// pointers the same way. Sealed pages are copied lazily, on the store's
-// first write into them (see Line); cowCopies counts those copies.
 type Store struct {
-	pages     []pageSlot
-	count     int    // materialized lines (current epoch)
-	epoch     uint64 // current generation; slots with older stamps are empty
-	cowCopies uint64 // sealed pages copied before a write, cumulative
+	pages []pageSlot
+	count int    // materialized lines (current epoch)
+	epoch uint64 // current generation; slots with older stamps are empty
 }
 
 // NewStore returns an empty backing store.
@@ -169,27 +105,22 @@ func NewStore() *Store {
 }
 
 // Reset empties the store, retaining page memory for reuse. O(1): stale
-// pages are zeroed lazily on their next touch.
+// pages are zeroed lazily on their next write.
 func (s *Store) Reset() {
 	s.epoch++
 	s.count = 0
 }
 
-// grow extends the page table to cover page index pi.
-func (s *Store) grow(pi int) {
+// writablePage returns a current-generation page covering a, materializing
+// or revalidating it as needed. This is the only path that may dirty page
+// contents.
+func (s *Store) writablePage(a Addr) *pageData {
+	pi := int(a >> pageShift)
 	if pi >= len(s.pages) {
 		grown := make([]pageSlot, pi+pi/2+1)
 		copy(grown, s.pages)
 		s.pages = grown
 	}
-}
-
-// writablePage returns a private, current-generation page covering a,
-// materializing, revalidating, or copy-on-write copying as needed. This is
-// the only path that may dirty page contents.
-func (s *Store) writablePage(a Addr) *pageData {
-	pi := int(a >> pageShift)
-	s.grow(pi)
 	slot := &s.pages[pi]
 	pg := slot.data
 	switch {
@@ -198,32 +129,16 @@ func (s *Store) writablePage(a Addr) *pageData {
 		slot.data = pg
 		slot.epoch = s.epoch
 	case slot.epoch != s.epoch:
-		if pg.sealed {
-			// Stale alias of an image page: the payload is immutable, so
-			// drop the alias and start from a fresh zero page.
-			pg = &pageData{}
-			slot.data = pg
-		} else {
-			pg.revalidate()
-		}
+		pg.revalidate()
 		slot.epoch = s.epoch
-	case pg.sealed:
-		// Live page shared with an image: copy before dirtying. The copy is
-		// private (unsealed) and replaces the alias; the image keeps the
-		// sealed original.
-		cp := &pageData{used: pg.used, lines: pg.lines}
-		slot.data = cp
-		s.cowCopies++
-		pg = cp
 	}
 	return pg
 }
 
 // Line returns the backing line containing a, materializing it if needed.
 // The returned pointer aliases store state; callers mutate it in place —
-// this is the write accessor, and it unshares (copies) a page sealed into a
-// snapshot image before handing out the pointer. Pure readers should use
-// ReadLine, which never materializes or unshares.
+// this is the write accessor. Pure readers should use ReadLine, which never
+// materializes.
 func (s *Store) Line(a Addr) *Line {
 	pg := s.writablePage(a)
 	li := int(a>>lineShift) & lineInPageMsk
@@ -236,9 +151,8 @@ func (s *Store) Line(a Addr) *Line {
 
 // ReadLine returns the backing line containing a for reading only. Absent
 // lines (never materialized, or stale since the last Reset) read as a shared
-// all-zero line without being materialized, so a read never sets a used bit,
-// never copies a sealed page, and never allocates. Callers must not write
-// through the returned pointer.
+// all-zero line without being materialized, so a read never sets a used bit
+// and never allocates. Callers must not write through the returned pointer.
 func (s *Store) ReadLine(a Addr) *Line {
 	pi := int(a >> pageShift)
 	if pi >= len(s.pages) {
@@ -257,13 +171,11 @@ func (s *Store) ReadLine(a Addr) *Line {
 }
 
 // StoreLine writes a full line image to the line containing a, skipping the
-// write entirely when memory already holds those bytes. The skip is what
-// keeps copy-on-write sharing alive under cache writebacks: evicting a
-// clean (Exclusive) or unmodified line writes back bytes identical to the
-// backing store, and a plain Line() store would copy the whole sealed page
-// just to overwrite it with itself. Contents after StoreLine are always
-// exactly "v at a"; only the sharing state (and the used bit, when v is
-// all-zero and the line was absent) differs from an unconditional write.
+// write entirely when memory already holds those bytes (evicting a clean or
+// unmodified line writes back bytes identical to the backing store). The
+// skip is observable and must stay: an all-zero line written over an absent
+// one stays absent, which Len, Peek and ForEach — and so the memory
+// digests — can see.
 func (s *Store) StoreLine(a Addr, v *Line) {
 	if *s.ReadLine(a) == *v {
 		return
@@ -307,32 +219,8 @@ func (s *Store) Write64(a Addr, v uint64) {
 // Len returns the number of materialized lines.
 func (s *Store) Len() int { return s.count }
 
-// CowCopies returns the cumulative number of sealed pages this store has
-// copied before a write — the only whole-page copies the copy-on-write
-// snapshot scheme ever performs.
-func (s *Store) CowCopies() uint64 { return s.cowCopies }
-
-// PageStats counts the store's current-generation materialized pages:
-// shared pages alias a snapshot image's sealed payload (a write would copy
-// first), private pages are owned by this store alone.
-func (s *Store) PageStats() (shared, private int) {
-	for i := range s.pages {
-		slot := &s.pages[i]
-		if slot.data == nil || slot.epoch != s.epoch {
-			continue
-		}
-		if slot.data.sealed {
-			shared++
-		} else {
-			private++
-		}
-	}
-	return shared, private
-}
-
 // ForEach calls fn for every materialized line in ascending address order,
-// without allocating. fn must not materialize new lines and must not write
-// through the line pointer — pages may be sealed into snapshot images.
+// without allocating. fn must not materialize new lines.
 func (s *Store) ForEach(fn func(la Addr, l *Line)) {
 	for pi := range s.pages {
 		slot := &s.pages[pi]
@@ -345,163 +233,6 @@ func (s *Store) ForEach(fn func(la Addr, l *Line)) {
 			li := bits.TrailingZeros64(m)
 			fn(base+Addr(li)<<lineShift, &pg.lines[li])
 		}
-	}
-}
-
-// imagePage is one captured page of a StoreImage: the page number and a
-// pointer to the sealed payload the image shares with the store it was
-// captured from (and with every store later restored from the image).
-// Within the capture epoch every line outside the payload's bitmap is zero
-// (lines only materialize through Line, and revalidate zeroes a stale
-// private page's leftovers), so aliasing whole pages is exact.
-type imagePage struct {
-	index int
-	data  *pageData
-}
-
-// StoreImage is an immutable capture of a store's materialized contents.
-// Store.Snapshot seals the store's pages and aliases them here — no page
-// payload is copied at capture, and Store.Restore adopts the same pointers
-// back, so the only copies the scheme ever makes are copy-on-write copies
-// of pages a store actually dirties afterwards. Images are shared read-only
-// across goroutines (the snapshot arena hands one image to every worker
-// that restores from it); nothing may mutate one after Snapshot returns.
-type StoreImage struct {
-	pages []imagePage // ascending page index
-	lines int
-}
-
-// Lines returns the number of materialized lines the image holds.
-func (img *StoreImage) Lines() int { return img.lines }
-
-// Bytes returns the logical size of the image's page payloads — what a
-// whole-page-copy image would occupy. The resident (host) footprint is
-// smaller whenever pages are shared with live stores or sibling images.
-func (img *StoreImage) Bytes() int { return len(img.pages) * pageBytes }
-
-// Pages returns the number of pages the image references.
-func (img *StoreImage) Pages() int { return len(img.pages) }
-
-// Snapshot captures the store's current contents into an immutable image by
-// sealing every materialized page and aliasing it — O(pages) pointer work,
-// no payload copies. The store keeps using the sealed pages for reads; its
-// first write into one copies it first (see Line).
-func (s *Store) Snapshot() *StoreImage {
-	n := 0
-	for i := range s.pages {
-		slot := &s.pages[i]
-		if slot.data != nil && slot.epoch == s.epoch && slot.data.used != 0 {
-			n++
-		}
-	}
-	img := &StoreImage{lines: s.count, pages: make([]imagePage, 0, n)}
-	for pi := range s.pages {
-		slot := &s.pages[pi]
-		pg := slot.data
-		if pg == nil || slot.epoch != s.epoch || pg.used == 0 {
-			continue
-		}
-		if !pg.sealed {
-			pg.sealed = true
-			pg.digest = pg.contentDigest()
-		}
-		img.pages = append(img.pages, imagePage{index: pi, data: pg})
-	}
-	return img
-}
-
-// Restore makes the store's contents exactly equal the image: an O(1)
-// epoch-bump Reset followed by adopting the image's sealed page pointers —
-// no payload copies ever; the store copies a page only when (and if) it
-// later writes into it. No allocation beyond growing a page table that has
-// never reached the image's highest page.
-func (s *Store) Restore(img *StoreImage) {
-	s.Reset()
-	for i := range img.pages {
-		p := &img.pages[i]
-		s.grow(p.index)
-		slot := &s.pages[p.index]
-		slot.data = p.data
-		slot.epoch = s.epoch
-		s.count += bits.OnesCount64(p.data.used)
-	}
-}
-
-// PagePool is a content-addressed registry of sealed page payloads. Interning
-// an image rewrites each of its page pointers to the pool's canonical page
-// with the same content, so images captured from unrelated stores — different
-// arena keys, different sweeps — alias one physical payload whenever the
-// bytes match. The pool lives as long as its owner (the snapshot arena) and
-// never forgets a payload. Safe for concurrent use.
-type PagePool struct {
-	mu    sync.Mutex
-	pages map[uint64][]*pageData // digest → collision chain
-
-	interned       uint64 // pages inserted as new canonical payloads
-	deduped        uint64 // pages resolved to an existing canonical payload
-	contentDeduped uint64 // subset of deduped: distinct pointer, equal content
-}
-
-// NewPagePool returns an empty pool.
-func NewPagePool() *PagePool {
-	return &PagePool{pages: make(map[uint64][]*pageData)}
-}
-
-// Intern registers every page of img in the pool, rewriting img's page
-// pointers to the canonical payloads. img must be sealed (i.e. produced by
-// Store.Snapshot) and not yet visible to concurrent readers — interning
-// mutates its page table.
-func (p *PagePool) Intern(img *StoreImage) {
-	if p == nil || img == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := range img.pages {
-		ip := &img.pages[i]
-		chain := p.pages[ip.data.digest]
-		var found *pageData
-		for _, c := range chain {
-			if c == ip.data {
-				found = c
-				break
-			}
-			if contentEqual(c, ip.data) {
-				found = c
-				p.contentDeduped++
-				break
-			}
-		}
-		if found != nil {
-			p.deduped++
-			ip.data = found
-			continue
-		}
-		p.pages[ip.data.digest] = append(chain, ip.data)
-		p.interned++
-	}
-}
-
-// PagePoolStats is a point-in-time snapshot of a pool's counters.
-type PagePoolStats struct {
-	Interned       uint64 // pages inserted as new canonical payloads, cumulative
-	Deduped        uint64 // pages resolved to an already-pooled payload, cumulative
-	ContentDeduped uint64 // deduped pages that were distinct pointers with equal bytes
-	Pages          int    // live canonical pages right now
-}
-
-// Stats returns the pool's counters.
-func (p *PagePool) Stats() PagePoolStats {
-	if p == nil {
-		return PagePoolStats{}
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return PagePoolStats{
-		Interned:       p.interned,
-		Deduped:        p.deduped,
-		ContentDeduped: p.contentDeduped,
-		Pages:          int(p.interned), // the pool never forgets a page
 	}
 }
 
@@ -535,16 +266,6 @@ func NewAllocator() *Allocator {
 // the whole simulated address space for reuse.
 func (al *Allocator) Reset() { al.next = 4096 }
 
-// Restore rewinds the allocator to a break previously obtained from Brk, so
-// a machine restored from a snapshot resumes allocating exactly where the
-// snapshotted Setup left off.
-func (al *Allocator) Restore(brk Addr) {
-	if brk < 4096 {
-		panic(fmt.Sprintf("mem: Allocator.Restore brk %#x below the unmapped zero page", uint64(brk)))
-	}
-	al.next = brk
-}
-
 // Alloc reserves size bytes aligned to align (which must be a power of two,
 // at least 1) and returns the base address.
 func (al *Allocator) Alloc(size int, align int) Addr {
@@ -569,6 +290,3 @@ func (al *Allocator) AllocLines(n int) Addr {
 func (al *Allocator) AllocWords(n int) Addr {
 	return al.Alloc(n*WordBytes, WordBytes)
 }
-
-// Brk returns the current top of the allocated region.
-func (al *Allocator) Brk() Addr { return al.next }

@@ -170,102 +170,44 @@ func TestAllocatorBadAlignPanics(t *testing.T) {
 	NewAllocator().Alloc(8, 3)
 }
 
-// TestStoreSnapshotRestore covers the page-copy snapshot cycle: Restore
-// must make a store — clean, dirtied, or Reset — read back exactly the
-// snapshotted contents, with untouched lines still zero, and the image must
-// be immune to later mutation of the source store.
-func TestStoreSnapshotRestore(t *testing.T) {
+// TestStoreResetAndStoreLine covers the epoch Reset and StoreLine's skip of
+// equal writes: after Reset every line reads zero and none is present, a
+// page dirtied before Reset comes back zeroed on its next write, and an
+// all-zero StoreLine over an absent line leaves it absent — Len, Peek and
+// ForEach (and so the memory digests) would see the difference.
+func TestStoreResetAndStoreLine(t *testing.T) {
 	s := NewStore()
-	writes := map[Addr]uint64{
-		0x1000: 1, 0x1008: 2, // two words, one line
-		0x2040:      3, // separate line, same page region
-		0x40000:     4, // a later page
-		0x40000 + 8: 5,
-	}
-	for a, v := range writes {
-		s.Write64(a, v)
-	}
-	img := s.Snapshot()
-	if img.Lines() != s.Len() {
-		t.Fatalf("image holds %d lines, store has %d", img.Lines(), s.Len())
-	}
-	if img.Bytes() == 0 {
-		t.Fatal("image of a populated store reports zero bytes")
-	}
-
-	// Mutating the source after Snapshot must not affect the image.
-	s.Write64(0x1000, 99)
-	s.Write64(0x3000, 77)
-
-	// Restore onto a dirtied store: contents must be exactly the image.
-	s.Restore(img)
-	if s.Len() != img.Lines() {
-		t.Errorf("restored store has %d lines, image %d", s.Len(), img.Lines())
-	}
-	for a, v := range writes {
-		if got := s.Read64(a); got != v {
-			t.Errorf("restored word %#x = %d, want %d", uint64(a), got, v)
-		}
-	}
-	// The post-snapshot line must be gone (Peek: Read64 would materialize it).
-	if _, ok := s.Peek(0x3000); ok {
-		t.Errorf("post-snapshot write survived Restore at %#x", 0x3000)
-	}
-
-	// Restore onto a Reset store (the sweep engine's shape: acquire Resets,
-	// Restore copies in) and onto a fresh store must agree line for line.
+	s.Write64(0x1000, 1)
+	s.Write64(0x1040, 2)
 	s.Reset()
-	s.Restore(img)
-	fresh := NewStore()
-	fresh.Restore(img)
-	var want []Addr
-	fresh.ForEach(func(la Addr, l *Line) { want = append(want, la) })
-	var got []Addr
-	s.ForEach(func(la Addr, l *Line) {
-		got = append(got, la)
-		fl, ok := fresh.Peek(la)
-		if !ok || *fl != *l {
-			t.Errorf("line %#x differs between fresh-restored and reset-restored stores", uint64(la))
-		}
-	})
-	if len(got) != len(want) {
-		t.Errorf("restored stores materialize %d vs %d lines", len(got), len(want))
+	if s.Len() != 0 || s.Read64(0x1000) != 0 {
+		t.Fatalf("after Reset: Len=%d word=%d, want 0 and 0", s.Len(), s.Read64(0x1000))
 	}
-}
+	s.Write64(0x1008, 3) // revalidates the stale page
+	if got := s.Read64(0x1040); got != 0 {
+		t.Fatalf("stale line survived revalidation: %d", got)
+	}
+	if _, ok := s.Peek(0x1040); ok {
+		t.Fatal("stale line present after revalidation")
+	}
 
-// TestStoreSnapshotEmpty: an empty store snapshots to an empty image, and
-// restoring it onto a populated store empties it.
-func TestStoreSnapshotEmpty(t *testing.T) {
-	img := NewStore().Snapshot()
-	if img.Lines() != 0 || img.Bytes() != 0 {
-		t.Fatalf("empty store image: lines=%d bytes=%d", img.Lines(), img.Bytes())
+	var zero Line
+	s.StoreLine(0x2000, &zero)
+	if _, ok := s.Peek(0x2000); ok || s.Len() != 1 {
+		t.Fatalf("all-zero StoreLine materialized an absent line (Len=%d)", s.Len())
 	}
-	s := NewStore()
-	s.Write64(0x1000, 42)
-	s.Restore(img)
-	if s.Len() != 0 {
-		t.Fatalf("store has %d lines after restoring an empty image", s.Len())
+	v := Line{7}
+	s.StoreLine(0x2000, &v)
+	if l, ok := s.Peek(0x2000); !ok || *l != v || s.Len() != 2 {
+		t.Fatalf("StoreLine did not write: present=%v Len=%d", ok, s.Len())
 	}
-	if got := s.Read64(0x1000); got != 0 {
-		t.Fatalf("old contents visible after empty restore: %d", got)
+	s.StoreLine(0x2000, &zero)
+	if l, ok := s.Peek(0x2000); !ok || *l != zero {
+		t.Fatal("StoreLine of zeros over a present line did not overwrite it")
 	}
-}
-
-// TestAllocatorRestore: Restore rewinds to a recorded break and rejects
-// breaks inside the unmapped zero page.
-func TestAllocatorRestore(t *testing.T) {
-	al := NewAllocator()
-	al.AllocLines(3)
-	brk := al.Brk()
-	al.AllocLines(10)
-	al.Restore(brk)
-	if got := al.Brk(); got != brk {
-		t.Fatalf("Brk after Restore = %#x, want %#x", uint64(got), uint64(brk))
+	var seen []Addr
+	s.ForEach(func(a Addr, _ *Line) { seen = append(seen, a) })
+	if len(seen) != 2 || seen[0] != 0x1000 || seen[1] != 0x2000 {
+		t.Fatalf("ForEach saw %#x, want [0x1000 0x2000]", seen)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Restore below the zero page did not panic")
-		}
-	}()
-	al.Restore(0)
 }

@@ -363,35 +363,6 @@ func (ms *MemSys) RegisterLabel(s LabelSpec) LabelID {
 // Label returns the spec for id (for inspection by the runtime and tests).
 func (ms *MemSys) Label(id LabelID) *LabelSpec { return &ms.labels[id] }
 
-// SnapshotLabels returns a copy of the registered label table, in
-// registration order, for machine-image snapshots. The specs' handler
-// closures are captured as-is; the snapshot contract (EXPERIMENTS.md)
-// requires them to be pure functions of data that is identical for every
-// workload instance sharing the snapshot key.
-func (ms *MemSys) SnapshotLabels() []LabelSpec {
-	return append([]LabelSpec(nil), ms.labels...)
-}
-
-// RestoreLabels reinstates a label table captured by SnapshotLabels,
-// replacing whatever is registered (Reset leaves the table empty, so on the
-// restore path this is the registration Setup would have performed).
-func (ms *MemSys) RestoreLabels(ls []LabelSpec) {
-	ms.labels = append(ms.labels[:0], ls...)
-}
-
-// SnapshotRand returns the microarchitectural RNG position, and RestoreRand
-// reinstates it. Post-Setup the stream is still at its post-Reset position
-// (Setup bypasses the memory system), but snapshots capture it anyway so the
-// machine-image contract does not silently depend on that.
-func (ms *MemSys) SnapshotRand() uint64     { return ms.rng.State() }
-func (ms *MemSys) RestoreRand(state uint64) { ms.rng.Restore(state) }
-
-// RandPristine reports whether the memory-system PRNG still sits at its
-// post-Reset(seed) state (xrand seeding stores the seed directly without
-// drawing, so the pristine state is the seeded value itself). Base-image
-// capture requires this — see engine.Kernel.RandsPristine.
-func (ms *MemSys) RandPristine(seed uint64) bool { return ms.rng.State() == seed^0xc0ffee }
-
 // Counters returns the live counter block.
 func (ms *MemSys) Counters() *Counters { return &ms.ctr }
 

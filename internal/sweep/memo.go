@@ -3,8 +3,20 @@ package sweep
 import (
 	"commtm"
 	"commtm/internal/arena"
-	"commtm/internal/workloads/snapshots"
 )
+
+// Parameterized is the optional Workload extension the result memo keys on.
+// Params returns the canonical encoding of every constructor parameter the
+// run reads, in Setup or Body (workload-private seeds included), and
+// whether the instance can be memoized at all. Two instances with different
+// constructor arguments must never return the same params: the string keys
+// the memo, where a collision would hand one run's result to another. It is
+// called before Setup, so it may read only constructor-set fields. A
+// workload whose run depends on anything outside (params, machine
+// configuration) returns ok=false or does not implement the interface.
+type Parameterized interface {
+	Params() (params string, ok bool)
+}
 
 // Memo is a result memo: one simulated Result per distinct cell identity,
 // shared by every engine run handed it (Engine.Memo). The paper's figures
@@ -14,11 +26,11 @@ import (
 // empty, unbounded memo ready to use; a nil *Memo memoizes nothing.
 //
 // The identity is the workload name, the workload's canonical params string
-// (snapshots.Snapshotter.SnapshotParams) and the complete machine
-// configuration — everything a run reads. Presentation fields (Index,
-// Variant.Label, Geometry.Label) are not part of it: fig10's "CommTM w/
-// gather" and the plain CommTM variant are the same machine. Workloads
-// without a params string (no Snapshotter, or ok=false) are never memoized.
+// (Parameterized.Params) and the complete machine configuration — everything
+// a run reads. Presentation fields (Index, Variant.Label, Geometry.Label)
+// are not part of it: fig10's "CommTM w/ gather" and the plain CommTM
+// variant are the same machine. Workloads without a params string (not
+// Parameterized, or ok=false) are never memoized.
 //
 // A failed cell is never cached: its owner returns its own verdict and any
 // cell waiting on it re-runs for a verdict of its own. The determinism
@@ -58,11 +70,11 @@ func (mo *Memo) keyOf(c Cell, w Workload) (memoKey, bool) {
 	if mo == nil {
 		return memoKey{}, false
 	}
-	sn, ok := w.(snapshots.Snapshotter)
+	pw, ok := w.(Parameterized)
 	if !ok {
 		return memoKey{}, false
 	}
-	params, ok := sn.SnapshotParams()
+	params, ok := pw.Params()
 	if !ok {
 		return memoKey{}, false
 	}

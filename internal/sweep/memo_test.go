@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,11 +11,18 @@ import (
 	"commtm"
 )
 
-// countWorkload is snapWorkload (memoizable: it declares canonical params)
+// paramWorkload is addWorkload plus canonical params, so the memo keys it.
+type paramWorkload struct {
+	addWorkload
+}
+
+func (w *paramWorkload) Params() (string, bool) { return fmt.Sprintf("ops=%d", w.ops), true }
+
+// countWorkload is paramWorkload (memoizable: it declares canonical params)
 // that counts its simulations — Validate runs exactly once per simulated
 // cell — and can stall or fail one through the optional validate hook.
 type countWorkload struct {
-	snapWorkload
+	paramWorkload
 	validations *atomic.Int64
 	validate    func() error
 }
@@ -26,7 +34,7 @@ func (w *countWorkload) Validate(m *commtm.Machine) error {
 			return err
 		}
 	}
-	return w.snapWorkload.Validate(m)
+	return w.paramWorkload.Validate(m)
 }
 
 // memoCell is one cell of the memo tests: label is presentation only, ops
@@ -36,7 +44,7 @@ func memoCell(i int, label string, ops int, n *atomic.Int64) Cell {
 		Index: i, Workload: "add", Threads: 2, Seed: 1,
 		Variant: Variant{Label: label, Protocol: commtm.CommTM},
 		Mk: func() Workload {
-			return &countWorkload{snapWorkload: snapWorkload{addWorkload{ops: ops}}, validations: n}
+			return &countWorkload{paramWorkload: paramWorkload{addWorkload{ops: ops}}, validations: n}
 		},
 	}
 }
@@ -93,7 +101,7 @@ func TestMemoNeverCachesFailure(t *testing.T) {
 	waiterMade := make(chan struct{})
 	owner := memoCell(0, "CommTM", 64, &n)
 	owner.Mk = func() Workload {
-		return &countWorkload{snapWorkload: snapWorkload{addWorkload{ops: 64}}, validations: &n,
+		return &countWorkload{paramWorkload: paramWorkload{addWorkload{ops: 64}}, validations: &n,
 			validate: func() error {
 				close(ownerValidating)
 				<-waiterMade
@@ -112,11 +120,11 @@ func TestMemoNeverCachesFailure(t *testing.T) {
 	var ro, rw Result
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); ro = runCell(owner, nil, nil, nil, memo, rm) }()
+	go func() { defer wg.Done(); ro = runCell(owner, nil, nil, memo, rm) }()
 	go func() {
 		defer wg.Done()
 		<-ownerValidating // the owner holds the entry
-		rw = runCell(waiter, nil, nil, nil, memo, rm)
+		rw = runCell(waiter, nil, nil, memo, rm)
 	}()
 	wg.Wait()
 	if ro.Err != "owner fails" {
@@ -129,7 +137,7 @@ func TestMemoNeverCachesFailure(t *testing.T) {
 		t.Fatalf("%d simulations, want 2 (the failure is not cached)", got)
 	}
 	// The waiter's passing result is cached now.
-	if r := runCell(memoCell(2, "CommTM", 64, &n), nil, nil, nil, memo, rm); r.Err != "" || r.Stats != rw.Stats {
+	if r := runCell(memoCell(2, "CommTM", 64, &n), nil, nil, memo, rm); r.Err != "" || r.Stats != rw.Stats {
 		t.Fatalf("later cell: err=%q, stats equal=%v", r.Err, r.Stats == rw.Stats)
 	}
 	if rm.MemoMisses != 2 || rm.MemoHits != 1 {
@@ -154,7 +162,7 @@ func TestMemoKeySplits(t *testing.T) {
 		{"geometry", func(c *Cell) { c.Geometry = Geometry{Label: "g", L1Bytes: 16 * 1024, L1Ways: 4} }, true},
 		{"params", func(c *Cell) {
 			c.Mk = func() Workload {
-				return &countWorkload{snapWorkload: snapWorkload{addWorkload{ops: 128}}, validations: &n}
+				return &countWorkload{paramWorkload: paramWorkload{addWorkload{ops: 128}}, validations: &n}
 			}
 		}, true},
 		{"variant label", func(c *Cell) { c.Variant.Label = "CommTM w/ gather" }, false},
@@ -200,7 +208,7 @@ func TestMemoHitRebindsCell(t *testing.T) {
 }
 
 // TestMemoHitAcquiresNoMachine: only the simulating cell touches the
-// machine pool, whether pooled or fresh-per-cell.
+// machine, whether reused or fresh-per-cell.
 func TestMemoHitAcquiresNoMachine(t *testing.T) {
 	for _, reuse := range []Reuse{ReuseOn, ReuseOff} {
 		var n atomic.Int64

@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"commtm/internal/workloads/inputs"
-	"commtm/internal/workloads/snapshots"
 )
 
 // groupKey identifies one conformance group: every variant of a fixed
@@ -89,15 +88,12 @@ type DeterminismOptions struct {
 	// Reuse is the machine-lifecycle policy of the re-run engine.
 	Reuse Reuse
 	// InputMode is the workload-input arena policy of the re-run engine.
-	// The re-run always builds its own arenas (never shares the first
-	// run's or a process-lifetime one): a warm arena would replay the
-	// first run's cached inputs and machine images, and the oracle's whole
-	// point is an independent re-execution — a nondeterministic generation
-	// or Setup must get a chance to diverge.
+	// The re-run always builds its own arena (never shares the first run's
+	// or a process-lifetime one): a warm arena would replay the first run's
+	// cached inputs, and the oracle's whole point is an independent
+	// re-execution — a nondeterministic generation must get a chance to
+	// diverge.
 	InputMode InputMode
-	// Snapshots is the machine-image snapshot policy of the re-run engine;
-	// see InputMode for why no external arena is accepted here.
-	Snapshots SnapshotMode
 	// Metrics, when non-nil, accumulates the re-run engine's host-side
 	// lifecycle counters.
 	Metrics *RunMetrics
@@ -159,8 +155,7 @@ func CheckDeterminismOpts(rs Results, o DeterminismOptions) error {
 		}
 	}
 	eng := Engine{
-		Workers: o.Workers, Reuse: o.Reuse, InputMode: o.InputMode, SnapshotMode: o.Snapshots,
-		Metrics: o.Metrics,
+		Workers: o.Workers, Reuse: o.Reuse, InputMode: o.InputMode, Metrics: o.Metrics,
 	}
 	rerun, err := eng.Run(cells)
 	if err != nil {
@@ -193,17 +188,10 @@ type OracleOptions struct {
 	Reuse Reuse
 	// InputMode is the workload-input arena policy for both runs.
 	InputMode InputMode
-	// Snapshots is the machine-image snapshot policy for both runs.
-	Snapshots SnapshotMode
-	// InputArena / SnapshotArena, when non-nil, are externally owned arenas
-	// both runs share (Engine.Inputs / Engine.Snapshots semantics).
-	InputArena    *inputs.Arena
-	SnapshotArena *snapshots.Arena
-	// MachinePool, when non-nil, is an externally owned cross-sweep machine
-	// pool the FIRST run uses (Engine.Machines semantics). The determinism
-	// re-run never inherits it — like the arenas, the re-run builds its own
-	// machines so a machine-lifecycle bug gets a chance to diverge.
-	MachinePool *MachinePool
+	// InputArena, when non-nil, is an externally owned input arena the FIRST
+	// run uses (Engine.Inputs semantics). The determinism re-run never
+	// inherits it (see DeterminismOptions.InputMode).
+	InputArena *inputs.Arena
 	// DetSample / DetSampleSeed select the determinism oracle's sampled
 	// mode (DeterminismOptions.Sample semantics); zero means full.
 	DetSample     float64
@@ -230,9 +218,8 @@ func Conformance(mx Matrix, workers int, sinks ...Sink) (Results, error) {
 // sampling policies.
 func ConformanceOpts(mx Matrix, o OracleOptions) (Results, error) {
 	eng := Engine{
-		Workers: o.Workers, Sinks: o.Sinks, Reuse: o.Reuse, InputMode: o.InputMode, SnapshotMode: o.Snapshots,
-		Inputs: o.InputArena, Snapshots: o.SnapshotArena, Machines: o.MachinePool,
-		Metrics: o.Metrics,
+		Workers: o.Workers, Sinks: o.Sinks, Reuse: o.Reuse, InputMode: o.InputMode,
+		Inputs: o.InputArena, Metrics: o.Metrics,
 	}
 	cells := mx.Cells()
 	for i := range cells {
@@ -246,11 +233,10 @@ func ConformanceOpts(mx Matrix, o OracleOptions) (Results, error) {
 		return rs, fmt.Errorf("differential oracle:\n%w", err)
 	}
 	// The determinism re-run deliberately does NOT inherit the external
-	// arenas or machine pool the first run may share with the process: it
-	// must re-execute generation, Setup, and the machine lifecycle
-	// independently (see DeterminismOptions.InputMode).
+	// input arena the first run may share with the process: it must
+	// re-execute generation independently (see DeterminismOptions.InputMode).
 	det := DeterminismOptions{
-		Workers: o.Workers, Reuse: o.Reuse, InputMode: o.InputMode, Snapshots: o.Snapshots,
+		Workers: o.Workers, Reuse: o.Reuse, InputMode: o.InputMode,
 		Metrics: o.Metrics, Sample: o.DetSample, SampleSeed: o.DetSampleSeed,
 	}
 	if err := CheckDeterminismOpts(rs, det); err != nil {

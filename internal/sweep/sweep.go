@@ -6,15 +6,15 @@
 // structured sinks (JSON lines, CSV, text tables).
 //
 // Machines follow the commtm lifecycle: by default (ReuseOn) each worker
-// owns an arena of machines, one per distinct configuration-modulo-seed,
-// and Resets a machine between the cells it runs — machine construction is
-// the dominant allocator of a sweep, so reuse moves allocation from
-// per-cell to per-worker. Cells are scheduled with configuration affinity
-// (a worker drains one configuration's cells before claiming another) so
-// the arena hit rate stays high regardless of worker count; Reset is proven
-// invisible by the golden conformance gate, which runs the golden matrix
-// with reuse both on and off. ReuseOff restores the fresh-machine-per-cell
-// behavior.
+// keeps one machine, Resets it for the next cell of the same
+// configuration-modulo-seed and replaces it when the configuration changes
+// — machine construction is the dominant allocator of a sweep, so reuse
+// moves allocation from per-cell to per-worker. Cells are scheduled with
+// configuration affinity (a worker drains one configuration's cells before
+// claiming another), so a worker rebuilds only when it moves on; Reset is
+// proven invisible by the golden conformance gate, which runs the golden
+// matrix with reuse both on and off. ReuseOff restores the
+// fresh-machine-per-cell behavior.
 //
 // Every simulated cell is fully deterministic, so cells are embarrassingly
 // parallel on the host; the engine's only synchronization is the work queue
@@ -22,9 +22,11 @@
 // and the differential conformance oracle in oracle.go both run on top of
 // this engine.
 //
-// A result memo (memo.go, Engine.Memo) lets one process simulate each
-// distinct cell identity once across all its runs; the determinism gates
-// never carry one.
+// Above the machines sit the only two caches: the workload-input arena
+// (internal/workloads/inputs, Engine.InputMode), which replays generated
+// inputs across cells, and the result memo (memo.go, Engine.Memo), which
+// lets one process simulate each distinct cell identity once across all its
+// runs; the determinism gates never carry a memo.
 //
 // Engine.Run is one worker pool: this file holds it and its cell runner,
 // sched.go its scheduler, and sink.go the sinks its in-order emitter feeds.
@@ -38,9 +40,7 @@ import (
 	"time"
 
 	"commtm"
-	"commtm/internal/arena"
 	"commtm/internal/workloads/inputs"
-	"commtm/internal/workloads/snapshots"
 )
 
 // Workload is the unit of benchmarking: it allocates and initializes
@@ -201,19 +201,18 @@ func (rs Results) FirstErr() error {
 // RunCell executes one cell synchronously on a freshly built machine: set
 // up and run the workload, validate, and digest the final state. Panics
 // from the simulator or workload are captured into Result.Err so one bad
-// cell cannot take down a whole sweep. Engine workers run cells through a
-// machine arena instead; RunCell is the construct-per-call path for
-// single-cell callers (harness.RunOne, tests).
-func RunCell(c Cell) Result { return runCell(c, nil, nil, nil, nil, nil) }
+// cell cannot take down a whole sweep. Engine workers reuse their machine
+// instead; RunCell is the construct-per-call path for single-cell callers
+// (harness.RunOne, tests).
+func RunCell(c Cell) Result { return runCell(c, nil, nil, nil, nil) }
 
 // RunMetrics accumulates host-side lifecycle counters across engine runs:
 // how many machines were built versus Reset-reused (the duplicate-machine
-// cost of tail stealing shows up in MachinesBuilt), and the input and
-// snapshot arenas' cache behavior. Fields are updated atomically by
-// concurrent workers; read them only after Run returns (or via a snapshot
-// copy). Sharing one RunMetrics across several engine runs accumulates
-// totals — cmd/commtm-bench reports it per experiment in its host-metrics
-// line.
+// cost of tail stealing shows up in MachinesBuilt), and the input arena's
+// cache behavior. Fields are updated atomically by concurrent workers; read
+// them only after Run returns (or via a snapshot copy). Sharing one
+// RunMetrics across several engine runs accumulates totals — cmd/commtm-bench
+// reports it per experiment in its host-metrics line.
 type RunMetrics struct {
 	// Result-memo counters (Engine.Memo): a hit is a cell that took another
 	// cell's memoized result and simulated nothing; a miss is a cell that
@@ -225,35 +224,14 @@ type RunMetrics struct {
 	MachineReuses int64 `json:"machine_reuses"`
 	InputHits     int64 `json:"input_hits"`
 	InputMisses   int64 `json:"input_misses"`
-	// Snapshot arena behavior: a hit is a cell that skipped Setup via
-	// Machine.Restore; a miss is a cell that ran Setup and captured.
-	SnapshotHits   int64 `json:"snapshot_hits"`
-	SnapshotMisses int64 `json:"snapshot_misses"`
-	// Split-image counters (thread-invariant workloads): a base hit is a
-	// whole Setup skipped because another geometry's cell already captured
-	// the config-modulo-threads base; base misses count distinct bases
-	// captured. Page-pool counters measure cross-image content dedup:
-	// PagesDeduped/PagesInterned of all pages ever interned resolved to an
-	// already-pooled payload (PagesContentDeduped is the subset that only
-	// content addressing — not pointer identity — could have caught).
-	SnapshotBaseHits    int64 `json:"snapshot_base_hits"`
-	SnapshotBaseMisses  int64 `json:"snapshot_base_misses"`
-	PagesInterned       int64 `json:"pages_interned"`
-	PagesDeduped        int64 `json:"pages_deduped"`
-	PagesContentDeduped int64 `json:"pages_content_deduped"`
-	// Copy-on-write page telemetry. CowPageCopies counts sealed store pages
-	// copied before a write — the only whole-page copies the copy-on-write
-	// snapshot scheme performs (capture and restore are pointer work).
-	// RestoreSkips counts Machine.Restore calls satisfied by the
-	// image-digest stamp alone. SharedPages and PrivatePages sum each
-	// cell's post-run page census: shared pages still alias a snapshot
-	// image, private ones were materialized or copied by the cell. The
-	// page-sharing ratio shared/(shared+private) is the number to read —
-	// it is how much of the working set restores left unshared.
-	CowPageCopies int64 `json:"cow_page_copies"`
-	RestoreSkips  int64 `json:"restore_skips"`
-	SharedPages   int64 `json:"shared_pages"`
-	PrivatePages  int64 `json:"private_pages"`
+	// The engine takes no machine images and copies no pages, so nothing
+	// increments these four and they read 0. They stay only because
+	// BENCHMARK.json names them as per-layer metrics; they leave together
+	// with those names.
+	SnapshotHits     int64 `json:"snapshot_hits"`
+	SnapshotMisses   int64 `json:"snapshot_misses"`
+	SnapshotBaseHits int64 `json:"snapshot_base_hits"`
+	CowPageCopies    int64 `json:"cow_page_copies"`
 	// Per-cell wall-time telemetry: CellWallNS sums every cell's host
 	// wall-clock (lifecycle plus simulation) and MaxCellWallNS records the
 	// slowest single cell, so simulation-bound shapes — a sweep whose time
@@ -265,13 +243,17 @@ type RunMetrics struct {
 	MaxCellWallNS int64 `json:"max_cell_wall_ns"`
 }
 
-// addBuilt counts (atomically) one unpooled machine build into rm;
-// nil-safe.
-func (rm *RunMetrics) addBuilt() {
+// addMachine counts (atomically) one machine build, or one Reset-reuse when
+// reused, into rm; nil-safe.
+func (rm *RunMetrics) addMachine(reused bool) {
 	if rm == nil {
 		return
 	}
-	atomic.AddInt64(&rm.MachinesBuilt, 1)
+	if reused {
+		atomic.AddInt64(&rm.MachineReuses, 1)
+	} else {
+		atomic.AddInt64(&rm.MachinesBuilt, 1)
+	}
 }
 
 // addMemo accumulates (atomically) result-memo hits and misses into rm;
@@ -284,16 +266,6 @@ func (rm *RunMetrics) addMemo(hits, misses int64) {
 	atomic.AddInt64(&rm.MemoMisses, misses)
 }
 
-// addMachines folds a machine pool's per-run stat deltas into rm: misses
-// are machine builds, hits are Reset-reuses.
-func (rm *RunMetrics) addMachines(s PoolStats) {
-	if rm == nil {
-		return
-	}
-	atomic.AddInt64(&rm.MachinesBuilt, int64(s.Misses))
-	atomic.AddInt64(&rm.MachineReuses, int64(s.Hits))
-}
-
 // addInputs folds an input arena's per-run stat deltas into rm.
 func (rm *RunMetrics) addInputs(s inputs.Stats) {
 	if rm == nil {
@@ -301,17 +273,6 @@ func (rm *RunMetrics) addInputs(s inputs.Stats) {
 	}
 	atomic.AddInt64(&rm.InputHits, int64(s.Hits))
 	atomic.AddInt64(&rm.InputMisses, int64(s.Misses))
-}
-
-// addCow folds one cell's copy-on-write page telemetry into rm.
-func (rm *RunMetrics) addCow(copies, skips, shared, private int64) {
-	if rm == nil {
-		return
-	}
-	atomic.AddInt64(&rm.CowPageCopies, copies)
-	atomic.AddInt64(&rm.RestoreSkips, skips)
-	atomic.AddInt64(&rm.SharedPages, shared)
-	atomic.AddInt64(&rm.PrivatePages, private)
 }
 
 // addCellWall folds one cell's host wall-clock into rm.
@@ -328,174 +289,69 @@ func (rm *RunMetrics) addCellWall(ns int64) {
 	}
 }
 
-// addSnapshots folds a snapshot arena's per-run stat deltas into rm.
-func (rm *RunMetrics) addSnapshots(s snapshots.Stats) {
-	if rm == nil {
-		return
-	}
-	atomic.AddInt64(&rm.SnapshotHits, int64(s.Hits))
-	atomic.AddInt64(&rm.SnapshotMisses, int64(s.Misses))
-	atomic.AddInt64(&rm.SnapshotBaseHits, int64(s.BaseHits))
-	atomic.AddInt64(&rm.SnapshotBaseMisses, int64(s.BaseMisses))
-	atomic.AddInt64(&rm.PagesInterned, int64(s.PagesInterned))
-	atomic.AddInt64(&rm.PagesDeduped, int64(s.PagesDeduped))
-	atomic.AddInt64(&rm.PagesContentDeduped, int64(s.ContentDeduped))
-}
-
 // arenaKey returns c's machine configuration with the seed erased (Reset
-// re-derives every PRNG stream from the next cell's seed, so machines are
-// shareable across seeds).
+// re-derives every PRNG stream from the next cell's seed, so a machine is
+// reusable across seeds).
 func arenaKey(c Cell) commtm.Config {
 	cfg := c.Config()
 	cfg.Seed = 0
 	return cfg
 }
 
-// snapshotKey returns c's configuration with the seed AND the protocol
-// variant erased: post-Setup machine state is variant-invariant (Setup
-// installs memory, labels, and the allocator break identically whether the
-// machine will run Baseline or CommTM — the protocol only changes how Run
-// interprets them), so all variants of one (workload, params, seed,
-// threads, geometry) configuration share one image. This is where the
-// snapshot win comes from inside a single sweep: every conformance group
-// runs Setup once. Machine.Restore enforces the same compatibility rule.
-func snapshotKey(c Cell) commtm.Config {
-	cfg := c.Config()
-	cfg.Seed = 0
-	cfg.Protocol = 0
-	cfg.DisableGather = false
-	return cfg
-}
-
-// poolKey identifies one pooled machine: the owning worker's index plus the
-// machine configuration modulo seed. Machines are mutable (a cell runs on
-// one in place), so unlike the input and snapshot arenas the pool must
-// never hand one value to two concurrent cells — the worker index
-// partitions the key space so that cannot happen, and the generic core's
-// per-key singleflight never sees a second claimant. The partition also
-// makes cross-run reuse work: worker indexes are stable (0..Workers-1), so
-// worker w of a later run finds the machines worker w of an earlier run
-// pooled under the same keys.
-type poolKey struct {
-	Worker int
-	Cfg    commtm.Config
-}
-
-// PoolStats is the machine pool's stats snapshot — the generic arena's,
-// re-exported so cmd/commtm-bench can report it without importing
-// internal/arena. Misses are machine builds, Hits are Reset-reuses.
-type PoolStats = arena.Stats
-
-// MachinePool is the machine arena shared by every worker of an engine run
-// — or, when handed to Engine.Machines, by every run of a process: a
-// commtm-bench invocation sweeping many figures pools machines across all
-// of them, the way Engine.Inputs and Engine.Snapshots already share their
-// arenas. It is a client of the generic arena core, unbounded for the life
-// of its owner: a machine leaves only when a failed cell's worker drops it
-// or when the pool is closed, and either way the release hook Closes it —
-// machines hold coroutine pools that must be released, not just dropped. A
-// nil *MachinePool is valid and pools nothing.
-type MachinePool struct {
-	c arena.Arena[poolKey, *commtm.Machine]
-}
-
-// NewMachinePool returns an empty pool.
-func NewMachinePool() *MachinePool {
-	p := &MachinePool{}
-	p.c.OnRelease = closeMachine
-	return p
-}
-
-// closeMachine is the pool's release policy: always Close (machines park
-// coroutine-pool goroutines that dropping the reference would leak). It
-// runs outside the arena lock, so a slow Close stalls no worker.
-func closeMachine(_ poolKey, m *commtm.Machine) { m.Close() }
-
-// Stats returns a snapshot of the pool's counters. Nil-safe.
-func (p *MachinePool) Stats() PoolStats {
-	if p == nil {
-		return PoolStats{}
-	}
-	return p.c.Stats()
-}
-
-// Len returns the number of pooled machines. Nil-safe.
-func (p *MachinePool) Len() int {
-	if p == nil {
-		return 0
-	}
-	return p.c.Len()
-}
-
-// Close releases every pooled machine's coroutine pool. The engine closes
-// the pools it builds itself when the run ends; the owner of an external
-// (cross-run) pool calls Close when the process is done sweeping. Nil-safe.
-func (p *MachinePool) Close() {
-	if p == nil {
-		return
-	}
-	p.c.RemoveAll()
-}
-
-// workerMachines is one worker's view of the shared pool: every key it
-// touches carries its worker index, so its machines are private even though
-// the pool is global. A nil *workerMachines always builds fresh without
-// pooling.
+// workerMachines is one worker's machine slot: the machine it built last and
+// that machine's arena key. A nil *workerMachines builds a fresh machine per
+// cell (ReuseOff).
 type workerMachines struct {
-	pool *MachinePool
-	w    int
+	m   *commtm.Machine
+	key commtm.Config
 }
 
-// acquire returns a machine for c — a pooled machine of the right
-// configuration when the worker has one, else a freshly built (and pooled)
-// one. reused reports whether the machine carries a previous cell's state:
-// the CALLER resets it (or restores a snapshot over it, which resets
-// internally — resetting here too was the double-reset bug this split
-// fixes).
-func (wm *workerMachines) acquire(c Cell) (m *commtm.Machine, reused bool) {
+// acquire returns a machine for c and counts it into rm. A cell whose arena
+// key matches the slot's takes the slot's machine (reused=true: it still
+// holds the previous cell's state and the CALLER ResetSeeds it); any other
+// key Closes the slot's machine and builds a new one in its place.
+func (wm *workerMachines) acquire(c Cell, rm *RunMetrics) (m *commtm.Machine, reused bool) {
 	if wm == nil {
+		rm.addMachine(false)
 		return commtm.New(c.Config()), false
 	}
-	return wm.pool.c.Load(poolKey{wm.w, arenaKey(c)}, func() *commtm.Machine {
-		return commtm.New(c.Config()) // outside the arena lock: construction is heavy
-	})
+	k := arenaKey(c)
+	if wm.m != nil && wm.key == k {
+		rm.addMachine(true)
+		return wm.m, true
+	}
+	wm.drop()
+	wm.m, wm.key = commtm.New(c.Config()), k
+	rm.addMachine(false)
+	return wm.m, false
 }
 
-// drop discards (and Closes) the worker's machine for c's configuration.
-// Workers call it when a cell fails: Reset is designed to recover even a
-// panic-drained machine, but a failed cell's machine is cheap to rebuild
-// and dropping it removes any doubt.
-func (wm *workerMachines) drop(c Cell) {
-	if wm == nil {
+// drop Closes and forgets the slot's machine. Workers call it when a cell
+// fails — Reset is designed to recover even a panic-drained machine, but a
+// failed cell's machine is cheap to rebuild and dropping it removes any
+// doubt — and when they exit, so no machine outlives its engine run with
+// parked coroutine goroutines. Nil-safe.
+func (wm *workerMachines) drop() {
+	if wm == nil || wm.m == nil {
 		return
 	}
-	wm.pool.c.Remove(poolKey{wm.w, arenaKey(c)})
+	wm.m.Close()
+	wm.m = nil
 }
 
-// has reports whether the worker holds a pooled machine for configuration
-// k, feeding affinity-aware steal selection. It is called with the
-// scheduler lock held; the pool lock nests strictly inside it (the pool
-// never calls into the scheduler, and release hooks run outside the pool
-// lock), so the order is safe.
-func (wm *workerMachines) has(k commtm.Config) bool {
-	return wm != nil && wm.pool.c.Contains(poolKey{wm.w, k})
-}
-
-// runCell executes one cell on a machine from the worker's pool view (nil =
+// runCell executes one cell on a machine from the worker's slot (nil =
 // always fresh), handing the input arena (nil = generate fresh) to
-// workloads that can replay cached inputs and the snapshot arena (nil =
-// always Setup) to workloads that can skip Setup via machine-image restore.
-// With a result memo (nil = always simulate), a cell whose identity another
-// cell already simulated skips everything after the name check — acquire,
-// Setup, Run, Validate and digest — and takes the memoized Stats and digest
-// under its own Index and Variant. Machine acquisition happens inside the
-// recover window so construction-time panics (invalid configurations) are
-// captured like any other cell failure.
-func runCell(c Cell, wm *workerMachines, ia *inputs.Arena, sa *snapshots.Arena, memo *Memo, rm *RunMetrics) (res Result) {
+// workloads that can replay cached inputs. With a result memo (nil = always
+// simulate), a cell whose identity another cell already simulated skips
+// everything after the name check — acquire, Setup, Run, Validate and
+// digest — and takes the memoized Stats and digest under its own Index and
+// Variant. Machine acquisition happens inside the recover window so
+// construction-time panics (invalid configurations) are captured like any
+// other cell failure.
+func runCell(c Cell, wm *workerMachines, ia *inputs.Arena, memo *Memo, rm *RunMetrics) (res Result) {
 	start := time.Now()
 	res = Result{Cell: c}
 	var m *commtm.Machine
-	var cowBefore, skipsBefore uint64
 	defer func() {
 		res.WallNS = time.Since(start).Nanoseconds()
 		rm.addCellWall(res.WallNS)
@@ -504,21 +360,16 @@ func runCell(c Cell, wm *workerMachines, ia *inputs.Arena, sa *snapshots.Arena, 
 				res.Err = fmt.Sprintf("panic: %v", r)
 			}
 		}
-		if m != nil && rm != nil {
-			shared, private := m.PageStats()
-			rm.addCow(int64(m.CowCopies()-cowBefore), int64(m.RestoreSkips()-skipsBefore),
-				int64(shared), int64(private))
-		}
-		if res.Err != "" && m != nil {
-			// Only a machine the failed cell actually ran on is suspect; a
-			// failure before acquire (workload constructor panic) must not
-			// drop the configuration's healthy pooled machine.
-			wm.drop(c)
-		}
-		if wm == nil && m != nil {
-			// Unpooled machine: release its coroutine pool now rather than
+		switch {
+		case m == nil:
+			// Nothing acquired (memo hit, or a failure before acquire such
+			// as a workload constructor panic): the slot's machine is healthy.
+		case wm == nil:
+			// Fresh per-cell machine: release its coroutine pool now rather than
 			// parking goroutines until process exit.
 			m.Close()
+		case res.Err != "":
+			wm.drop()
 		}
 	}()
 	w := c.Mk()
@@ -535,83 +386,13 @@ func runCell(c Cell, wm *workerMachines, ia *inputs.Arena, sa *snapshots.Arena, 
 			u.UseInputs(ia)
 		}
 		var reused bool
-		m, reused = wm.acquire(c)
-		cowBefore, skipsBefore = m.CowCopies(), m.RestoreSkips()
-		if wm == nil {
-			rm.addBuilt() // pooled builds are counted from the pool's stat deltas
+		m, reused = wm.acquire(c, rm)
+		if reused {
+			// A fresh machine is already pristine at c's seed; a reused one
+			// still holds the previous cell's state.
+			m.ResetSeed(c.Seed)
 		}
-		// A freshly built machine is already pristine at c's seed; a reused one
-		// still holds the previous cell's state and must be ResetSeed — but only
-		// on paths that will run Setup. On a snapshot hit, Machine.Restore does
-		// its own full ResetSeed before the page copies, so resetting at acquire
-		// (as the old arena did unconditionally) reset the machine twice per
-		// hit; the reset is deferred to the paths that need it instead.
-		pristine := !reused
-		ensurePristine := func() {
-			if !pristine {
-				m.ResetSeed(c.Seed)
-				pristine = true
-			}
-		}
-		installed := false
-		if sa != nil {
-			if sn, ok := w.(snapshots.Snapshotter); ok {
-				if params, compatible := sn.SnapshotParams(); compatible {
-					// The snapshot key is the workload identity plus the
-					// configuration modulo seed and protocol variant: two cells
-					// with equal keys produce bit-identical post-Setup state, so
-					// one captured image serves every variant of a configuration.
-					key := snapshots.Key{Workload: w.Name(), Params: params, Seed: c.Seed, Config: snapshotKey(c)}
-					// On a miss this caller's Setup runs (on its own machine,
-					// reset first if reused) and the captured image is published;
-					// on a hit the cached image is copied over the machine by
-					// Restore — whose internal ResetSeed is the hit path's one and
-					// only reset — and the host state adopted, skipping Setup.
-					var ent snapshots.Entry
-					var hit bool
-					if ti, isTI := w.(snapshots.ThreadInvariant); isTI && ti.SnapshotThreadInvariant() {
-						// Thread-invariant workloads split the snapshot: the base
-						// (pages, brk, labels) is keyed with the thread count
-						// erased too, so the first geometry's Setup serves the
-						// whole thread sweep — later geometries adopt the base via
-						// RestoreBase (its ResetSeed is that path's one reset) and
-						// only capture their thin full-key entry on top.
-						bkey := key
-						bkey.Config.Threads = 0
-						ent, hit = sa.LoadSplit(key, bkey,
-							func() {
-								ensurePristine()
-								w.Setup(m)
-							},
-							func(be snapshots.BaseEntry) {
-								m.RestoreBase(be.Img, c.Seed)
-								ti.AdoptBaseHost(m, be.Host)
-							},
-							func() snapshots.BaseEntry {
-								return snapshots.BaseEntry{Img: m.SnapshotBase(), Host: sn.SnapshotHost()}
-							},
-							func() snapshots.Entry {
-								return snapshots.Entry{Img: m.Snapshot(), Host: sn.SnapshotHost()}
-							})
-					} else {
-						ent, hit = sa.Load(key, func() snapshots.Entry {
-							ensurePristine()
-							w.Setup(m)
-							return snapshots.Entry{Img: m.Snapshot(), Host: sn.SnapshotHost()}
-						})
-					}
-					if hit {
-						m.Restore(ent.Img)
-						sn.AdoptHost(m, ent.Host)
-					}
-					installed = true
-				}
-			}
-		}
-		if !installed {
-			ensurePristine()
-			w.Setup(m)
-		}
+		w.Setup(m)
 		m.Run(w.Body)
 		res.Stats = m.Stats()
 		if err := w.Validate(m); err != nil {
@@ -650,9 +431,10 @@ func runCell(c Cell, wm *workerMachines, ia *inputs.Arena, sa *snapshots.Arena, 
 type Reuse int
 
 const (
-	// ReuseOn (the default) gives each worker a machine arena: one machine
-	// per distinct configuration-modulo-seed, Reset between cells. Results
-	// are bit-identical to ReuseOff — the golden conformance gate proves it.
+	// ReuseOn (the default) gives each worker one machine, Reset between
+	// consecutive cells of one configuration-modulo-seed and rebuilt when
+	// the configuration changes. Results are bit-identical to ReuseOff — the
+	// golden conformance gate proves it.
 	ReuseOn Reuse = iota
 	// ReuseOff builds a fresh machine per cell, the pre-lifecycle behavior.
 	// The differential value of running a matrix both ways is the reuse
@@ -675,21 +457,6 @@ const (
 	InputsOff
 )
 
-// SnapshotMode selects the machine-image snapshot policy of an engine run.
-type SnapshotMode int
-
-const (
-	// SnapshotsOn (the default) shares one snapshot arena across the run's
-	// workers: the first cell of each (workload, params, seed, config modulo
-	// seed) runs Setup and captures the post-Setup machine image; repeated
-	// cells adopt its copy-on-write pages by pointer and skip Setup entirely.
-	// Results are bit-identical to SnapshotsOff — the golden conformance
-	// gate runs the golden matrix both ways against the same goldens.
-	SnapshotsOn SnapshotMode = iota
-	// SnapshotsOff runs Setup on every cell, the pre-snapshot behavior.
-	SnapshotsOff
-)
-
 // Engine runs cells on a bounded worker pool.
 type Engine struct {
 	// Workers bounds host parallelism; <= 0 means runtime.GOMAXPROCS(0),
@@ -705,18 +472,13 @@ type Engine struct {
 	// every cell's verdict matters (the conformance oracle).
 	FailFast bool
 	// Reuse selects the machine lifecycle: ReuseOn (default) runs cells on
-	// per-worker machine arenas with configuration-affinity scheduling;
+	// one machine per worker with configuration-affinity scheduling;
 	// ReuseOff runs every cell on a fresh machine in plain index order.
 	Reuse Reuse
 	// InputMode selects the workload-input arena policy: InputsOn (default)
 	// caches generated inputs across cells, InputsOff regenerates per cell.
 	// Ignored when Inputs supplies an external arena.
 	InputMode InputMode
-	// SnapshotMode selects the machine-image snapshot policy: SnapshotsOn
-	// (default) captures post-Setup machine images and restores them on
-	// repeated cells, SnapshotsOff runs Setup per cell. Ignored when
-	// Snapshots supplies an external arena.
-	SnapshotMode SnapshotMode
 	// Inputs, when non-nil, is an externally owned workload-input arena the
 	// run uses instead of building its own: a long-lived process (one
 	// commtm-bench invocation running many figure sweeps, a server) hands
@@ -724,18 +486,6 @@ type Engine struct {
 	// The engine never drops an external arena; per-run hit/miss deltas
 	// still land in Metrics.
 	Inputs *inputs.Arena
-	// Snapshots is the snapshot-arena counterpart of Inputs: an externally
-	// owned machine-image arena shared across runs.
-	Snapshots *snapshots.Arena
-	// Machines is the machine-pool counterpart of Inputs/Snapshots: an
-	// externally owned cross-sweep pool shared across runs, so a process
-	// running many figure sweeps builds each (worker, configuration)
-	// machine once instead of once per run. The engine never closes an
-	// external pool; per-run build/reuse deltas still land in Metrics.
-	// Only meaningful under ReuseOn (ReuseOff never pools). Engine runs
-	// sharing one pool must not execute concurrently with each other —
-	// worker indexes would collide on the same mutable machines.
-	Machines *MachinePool
 	// Memo, when non-nil, is a result memo shared across runs: a cell
 	// whose identity (workload, params, full machine configuration) some
 	// cell already simulated takes that result instead of simulating, and
@@ -743,8 +493,8 @@ type Engine struct {
 	// gates never carry one, so they always re-simulate.
 	Memo *Memo
 	// Metrics, when non-nil, accumulates host-side lifecycle counters
-	// (machines built/reused, input and snapshot arena hits/misses) across
-	// this engine's runs. Counters add up across runs sharing one RunMetrics.
+	// (machines built/reused, memo and input arena hits/misses) across this
+	// engine's runs. Counters add up across runs sharing one RunMetrics.
 	Metrics *RunMetrics
 }
 
@@ -765,50 +515,32 @@ func (e *Engine) Run(cells []Cell) (Results, error) {
 	reuse := e.Reuse == ReuseOn
 	q := newSched(cells, reuse)
 
-	// One input arena and one snapshot arena are shared by every worker:
-	// cached entries are immutable host data, so sharing costs one short
-	// critical section per Setup and buys cross-worker hits (e.g. all seeds
-	// of one configuration reuse one generated graph, which per-worker
-	// machine arenas — mutable state — can never do). Externally owned
-	// arenas (Engine.Inputs / Engine.Snapshots) extend the sharing across
-	// runs; metrics then report this run's deltas.
+	// One input arena is shared by every worker: cached entries are
+	// immutable host data, so sharing costs one short critical section per
+	// Setup and buys cross-worker hits (e.g. all seeds of one configuration
+	// reuse one generated graph). An externally owned arena (Engine.Inputs)
+	// extends the sharing across runs; metrics then report this run's
+	// deltas.
 	ia := e.Inputs
 	if ia == nil && e.InputMode == InputsOn {
 		ia = inputs.New()
 	}
-	sa := e.Snapshots
-	if sa == nil && e.SnapshotMode == SnapshotsOn {
-		sa = snapshots.New()
-	}
-	// The machine pool is shared by every worker the same way (keys are
-	// partitioned by worker index, so sharing the structure costs one short
-	// critical section per acquire). Externally owned pools
-	// (Engine.Machines) extend machine reuse across runs; engine-built pools
-	// are closed when the run ends.
-	var pool *MachinePool
-	if reuse {
-		pool = e.Machines
-		if pool == nil {
-			pool = NewMachinePool()
-		}
-	}
-	iaBefore, saBefore, mpBefore := ia.Stats(), sa.Stats(), pool.Stats()
+	iaBefore := ia.Stats()
 
 	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			var wm *workerMachines
-			var have func(commtm.Config) bool
 			if reuse {
-				wm = &workerMachines{pool: pool, w: w}
-				have = wm.has
+				wm = &workerMachines{}
+				defer wm.drop()
 			}
 			var cur *schedGroup
 			for {
-				g, i, ok := q.next(cur, have)
+				g, i, ok := q.next(cur)
 				if !ok {
 					return
 				}
@@ -817,21 +549,16 @@ func (e *Engine) Run(cells []Cell) (Results, error) {
 					em.put(i, Result{Cell: cells[i], Err: "skipped: earlier cell failed"})
 					continue
 				}
-				r := runCell(cells[i], wm, ia, sa, e.Memo, e.Metrics)
+				r := runCell(cells[i], wm, ia, e.Memo, e.Metrics)
 				if r.Err != "" {
 					failed.Store(true)
 				}
 				em.put(i, r)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	e.Metrics.addMachines(pool.Stats().Delta(mpBefore))
 	e.Metrics.addInputs(ia.Stats().Delta(iaBefore))
-	e.Metrics.addSnapshots(sa.Stats().Delta(saBefore))
-	if pool != nil && pool != e.Machines {
-		pool.Close()
-	}
 	return results, em.err
 }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -16,7 +17,6 @@ import (
 	"commtm"
 	"commtm/internal/workloads/inputs"
 	"commtm/internal/workloads/micro"
-	"commtm/internal/workloads/snapshots"
 )
 
 // addWorkload is a minimal counter workload for engine plumbing tests.
@@ -144,7 +144,7 @@ func TestSchedulerAffinityAndStealing(t *testing.T) {
 	seen := make(map[int]bool)
 	var cur *schedGroup
 	for {
-		g, i, ok := q.next(cur, nil)
+		g, i, ok := q.next(cur)
 		if !ok {
 			break
 		}
@@ -158,7 +158,7 @@ func TestSchedulerAffinityAndStealing(t *testing.T) {
 		t.Fatalf("scheduler handed out %d cells, want %d", len(seen), len(cells))
 	}
 	// A second worker starting now finds everything claimed.
-	if _, _, ok := q.next(nil, nil); ok {
+	if _, _, ok := q.next(nil); ok {
 		t.Fatal("exhausted scheduler handed out a cell")
 	}
 
@@ -169,63 +169,111 @@ func TestSchedulerAffinityAndStealing(t *testing.T) {
 	if got := len(q.groups); got != 1 {
 		t.Fatalf("same-config cells built %d groups, want 1", got)
 	}
-	if _, _, ok := q.next(nil, nil); !ok { // worker A claims the group
+	if _, _, ok := q.next(nil); !ok { // worker A claims the group
 		t.Fatal("worker A got no cell")
 	}
-	if _, _, ok := q.next(nil, nil); !ok { // worker B must steal
+	if _, _, ok := q.next(nil); !ok { // worker B must steal
 		t.Fatal("worker B could not steal from the owned group")
 	}
 }
 
-// TestArenaReusesAndDrops covers the worker's pool view: same configuration
-// → same machine (Reset by the cell), different seed → same machine, failed
-// cell → the machine is dropped and rebuilt.
+// TestArenaReusesAndDrops covers the worker's one-machine slot: same
+// configuration → same machine, Reset exactly once by the cell; different
+// seed → same machine; different configuration → the old machine is
+// replaced; failed cell → the machine is dropped and rebuilt; a failure
+// before acquire leaves the slot's machine alone.
 func TestArenaReusesAndDrops(t *testing.T) {
-	pool := NewMachinePool()
-	defer pool.Close()
-	wm := &workerMachines{pool: pool, w: 0}
+	wm := &workerMachines{}
+	defer wm.drop()
+	rm := &RunMetrics{}
 	c1 := Cell{Workload: "add", Threads: 2, Seed: 1, Mk: func() Workload { return &addWorkload{ops: 8} }}
 	c2 := c1
 	c2.Seed = 99
-	m1, reused := wm.acquire(c1)
-	if reused {
-		t.Fatal("first acquire of a configuration reported reuse")
+	if r := runCell(c1, wm, nil, nil, rm); r.Err != "" {
+		t.Fatalf("first cell failed: %s", r.Err)
 	}
-	r := runCell(c2, wm, nil, nil, nil, nil)
-	if r.Err != "" {
+	m1 := wm.m
+	if m1 == nil || m1.ResetCount() != 0 {
+		t.Fatal("first cell did not leave a fresh, never-reset machine in the slot")
+	}
+	if r := runCell(c2, wm, nil, nil, rm); r.Err != "" {
 		t.Fatalf("reused-machine cell failed: %s", r.Err)
 	}
-	m2, reused := wm.acquire(c2)
-	if !reused || m2 != m1 {
-		t.Fatal("cell with different seed did not reuse the pooled machine")
+	if wm.m != m1 || m1.ResetCount() != 1 {
+		t.Fatalf("cell with different seed: same machine=%v resets=%d, want true and 1", wm.m == m1, m1.ResetCount())
 	}
-	// A panicking cell must drop its machine from the pool.
-	boom := c1
+	if rm.MachinesBuilt != 1 || rm.MachineReuses != 1 {
+		t.Fatalf("metrics = %+v, want 1 build and 1 reuse", rm)
+	}
+	// Another configuration replaces the slot's machine.
+	c4 := c1
+	c4.Threads = 4
+	if r := runCell(c4, wm, nil, nil, rm); r.Err != "" {
+		t.Fatalf("other-config cell failed: %s", r.Err)
+	}
+	if wm.m == m1 || wm.key != arenaKey(c4) {
+		t.Fatal("cell of another configuration did not replace the slot's machine")
+	}
+	// A panicking cell must drop its machine.
+	boom := c4
 	boom.Mk = func() Workload { return &panicWorkload{addWorkload{ops: 1}} }
-	if r := runCell(boom, wm, nil, nil, nil, nil); !strings.Contains(r.Err, "boom") {
+	if r := runCell(boom, wm, nil, nil, rm); !strings.Contains(r.Err, "boom") {
 		t.Fatalf("panic not captured: %q", r.Err)
 	}
-	if wm.has(arenaKey(boom)) {
-		t.Fatal("failed cell's machine still pooled")
+	if wm.m != nil {
+		t.Fatal("failed cell's machine still in the slot")
 	}
 	// And the next cell of that configuration runs on a fresh machine.
-	if r := runCell(c1, wm, nil, nil, nil, nil); r.Err != "" {
+	if r := runCell(c4, wm, nil, nil, rm); r.Err != "" {
 		t.Fatalf("cell after dropped machine failed: %s", r.Err)
 	}
-	// A failure before the machine is acquired (workload constructor panic)
-	// must NOT drop the configuration's healthy pooled machine.
-	kept, reused := wm.acquire(c1)
-	if !reused {
-		t.Fatal("no pooled machine to protect")
+	kept := wm.m
+	if kept == nil || kept.ResetCount() != 0 {
+		t.Fatal("cell after a drop did not build a fresh machine")
 	}
-	mkBoom := c1
+	// A failure before the machine is acquired (workload constructor panic)
+	// must NOT drop the slot's healthy machine.
+	mkBoom := c4
 	mkBoom.Mk = func() Workload { panic("constructor boom") }
-	if r := runCell(mkBoom, wm, nil, nil, nil, nil); !strings.Contains(r.Err, "constructor boom") {
+	if r := runCell(mkBoom, wm, nil, nil, rm); !strings.Contains(r.Err, "constructor boom") {
 		t.Fatalf("constructor panic not captured: %q", r.Err)
 	}
-	m4, reused := wm.acquire(c1)
-	if !reused || m4 != kept {
-		t.Fatal("pre-acquire failure dropped the pooled machine")
+	if wm.m != kept {
+		t.Fatal("pre-acquire failure dropped the slot's machine")
+	}
+}
+
+// TestWorkersCloseTheirMachines: every machine parks one coroutine
+// goroutine per hardware thread between runs, so a machine that is never
+// Closed shows up as goroutines left behind by Engine.Run. With ReuseOn,
+// each worker must Close its machine when it replaces it, when a cell fails
+// (drop) and when it exits.
+func TestWorkersCloseTheirMachines(t *testing.T) {
+	failing := testMatrix().Cells()
+	failing[3].Mk = func() Workload { return &panicWorkload{addWorkload{ops: 1}} }
+	for _, tc := range []struct {
+		name  string
+		cells []Cell
+	}{{"passing", testMatrix().Cells()}, {"failing", failing}} {
+		for _, workers := range []int{1, 4} {
+			before := runtime.NumGoroutine()
+			rs, err := (&Engine{Workers: workers, Reuse: ReuseOn}).Run(tc.cells)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.name == "failing" && !strings.Contains(rs[3].Err, "boom") {
+				t.Fatalf("%s: cell 3 err = %q, want the panic", tc.name, rs[3].Err)
+			}
+			// Halted coroutines return promptly but asynchronously.
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("%s, workers=%d: %d goroutines before Run, %d after; a machine was not Closed",
+					tc.name, workers, before, after)
+			}
+		}
 	}
 }
 
@@ -278,22 +326,19 @@ func legacyNext(groups []*schedGroup, cur *schedGroup) (*schedGroup, int, bool) 
 }
 
 // simulateMachines drives a scheduler with `workers` simulated workers in
-// round-robin lockstep and returns how many machines per-worker arenas
-// would build: the number of distinct (worker, configuration) pairs. Each
-// simulated worker's seen-set doubles as its affinity predicate, exactly as
-// Engine.Run's workers feed their pooled-config sets to the scheduler.
+// round-robin lockstep and returns how many machines the workers' one-slot
+// reuse would build: one per worker each time the arena key of its next
+// cell differs from its previous cell's.
 func simulateMachines(t *testing.T, cells []Cell, workers int,
-	next func(cur *schedGroup, have func(commtm.Config) bool) (*schedGroup, int, bool)) int {
+	next func(cur *schedGroup) (*schedGroup, int, bool)) int {
 	t.Helper()
 	type wstate struct {
 		cur  *schedGroup
 		done bool
-		seen map[commtm.Config]bool
+		have bool
+		key  commtm.Config
 	}
 	ws := make([]wstate, workers)
-	for i := range ws {
-		ws[i].seen = make(map[commtm.Config]bool)
-	}
 	machines, handed := 0, 0
 	for active := workers; active > 0; {
 		for i := range ws {
@@ -301,7 +346,7 @@ func simulateMachines(t *testing.T, cells []Cell, workers int,
 			if w.done {
 				continue
 			}
-			g, ci, ok := next(w.cur, func(k commtm.Config) bool { return w.seen[k] })
+			g, ci, ok := next(w.cur)
 			if !ok {
 				w.done = true
 				active--
@@ -309,8 +354,8 @@ func simulateMachines(t *testing.T, cells []Cell, workers int,
 			}
 			w.cur = g
 			handed++
-			if k := arenaKey(cells[ci]); !w.seen[k] {
-				w.seen[k] = true
+			if k := arenaKey(cells[ci]); !w.have || w.key != k {
+				w.have, w.key = true, k
 				machines++
 			}
 		}
@@ -340,7 +385,7 @@ func TestChunkedStealingBoundsDuplicateMachines(t *testing.T) {
 
 	legacy := newSched(cells, true)
 	legacyMachines := simulateMachines(t, cells, workers,
-		func(cur *schedGroup, _ func(commtm.Config) bool) (*schedGroup, int, bool) {
+		func(cur *schedGroup) (*schedGroup, int, bool) {
 			legacy.mu.Lock()
 			defer legacy.mu.Unlock()
 			return legacyNext(legacy.groups, cur)
@@ -354,63 +399,6 @@ func TestChunkedStealingBoundsDuplicateMachines(t *testing.T) {
 	}
 	if chunked > workers+len(sizes) {
 		t.Errorf("chunked stealing built %d machines, budget %d", chunked, workers+len(sizes))
-	}
-}
-
-// TestAffinityStealingPrefersPooledConfigs pins the affinity-aware steal
-// policy: once every group is owned, a stealer holding a pooled machine for
-// some configuration steals from that configuration's group — even when
-// another group has a larger remainder — and only falls back to the largest
-// remainder when it has no affinity anywhere. The deterministic lockstep
-// simulation beside TestChunkedStealingBoundsDuplicateMachines then shows
-// the policy never builds more machines than remainder-only stealing on the
-// skewed regression shape.
-func TestAffinityStealingPrefersPooledConfigs(t *testing.T) {
-	// Config A (threads=1): 6 cells; config B (threads=2): 20 cells.
-	cells := stealingMatrix([]int{6, 20})
-	q := newSched(cells, true)
-	gA, _, ok := q.next(nil, nil) // worker 1 claims A (first-appearance order)
-	if !ok || cells[gA.cells[gA.next-1]].Threads != 1 {
-		t.Fatal("worker 1 did not claim config A")
-	}
-	gB, _, ok := q.next(nil, nil) // worker 2 claims B
-	if !ok || cells[gB.cells[gB.next-1]].Threads != 2 {
-		t.Fatal("worker 2 did not claim config B")
-	}
-	// Worker 3 pools a machine for A: it must steal from A despite B's much
-	// larger remainder.
-	g, i, ok := q.next(nil, func(k commtm.Config) bool { return k == gA.key })
-	if !ok {
-		t.Fatal("affinity stealer got no cell")
-	}
-	if g.key != gA.key || cells[i].Threads != 1 {
-		t.Fatalf("affinity stealer got config with %d threads, want its pooled config A", cells[i].Threads)
-	}
-	// Worker 4 with no affinity falls back to the largest remainder (B).
-	g, i, ok = q.next(nil, func(commtm.Config) bool { return false })
-	if !ok || g.key != gB.key || cells[i].Threads != 2 {
-		t.Fatal("no-affinity stealer did not take the largest remainder")
-	}
-
-	// Lockstep comparison on the regression shape: affinity-aware stealing
-	// must never build more machines than remainder-only stealing.
-	sizes := []int{8, 16, 32, 128}
-	const workers = 24
-	cells = stealingMatrix(sizes)
-	affinity := simulateMachines(t, cells, workers, newSched(cells, true).next)
-	q2 := newSched(cells, true)
-	remainderOnly := simulateMachines(t, cells, workers,
-		func(cur *schedGroup, _ func(commtm.Config) bool) (*schedGroup, int, bool) {
-			return q2.next(cur, nil)
-		})
-	t.Logf("machines built: affinity=%d remainder-only=%d (workers=%d configs=%d)",
-		affinity, remainderOnly, workers, len(sizes))
-	if affinity > remainderOnly {
-		t.Errorf("affinity stealing built %d machines vs %d remainder-only; must never be worse",
-			affinity, remainderOnly)
-	}
-	if affinity > workers+len(sizes) {
-		t.Errorf("affinity stealing built %d machines, budget %d", affinity, workers+len(sizes))
 	}
 }
 
@@ -434,9 +422,7 @@ func TestInputArenaMatchesFresh(t *testing.T) {
 		Seeds:   []uint64{1, 2},
 	}
 	run := func(in InputMode, workers int, rm *RunMetrics) Results {
-		// Snapshots off: a snapshot hit skips Setup (and with it the input
-		// arena), which would starve the input-arena behavior under test.
-		eng := Engine{Workers: workers, InputMode: in, SnapshotMode: SnapshotsOff, Metrics: rm}
+		eng := Engine{Workers: workers, InputMode: in, Metrics: rm}
 		rs, err := eng.Run(mx.Cells())
 		if err != nil {
 			t.Fatal(err)
@@ -820,148 +806,6 @@ func TestEngineSurfacesSinkError(t *testing.T) {
 	_, err := eng.Run(testMatrix().Cells())
 	if err == nil {
 		t.Fatal("Run did not surface the sink write error")
-	}
-}
-
-// snapWorkload is addWorkload plus the Snapshotter hooks, for lifecycle
-// tests that need a snapshot-capable workload inside this package.
-type snapWorkload struct {
-	addWorkload
-}
-
-type snapHost struct {
-	ctr commtm.Addr
-	add commtm.LabelID
-}
-
-func (w *snapWorkload) SnapshotParams() (string, bool) { return fmt.Sprintf("ops=%d", w.ops), true }
-func (w *snapWorkload) SnapshotHost() any              { return snapHost{ctr: w.ctr, add: w.add} }
-func (w *snapWorkload) AdoptHost(m *commtm.Machine, host any) {
-	h := host.(snapHost)
-	w.threads = m.Config().Threads
-	w.ctr, w.add = h.ctr, h.add
-}
-
-// TestSnapshotHitResetsOnce pins the double-reset fix: a snapshot-arena hit
-// on a reused machine must reset exactly once (inside Machine.Restore),
-// not once at acquire and again at Restore. The controls pin the other
-// paths: a snapshot miss or a no-snapshot cell on a reused machine resets
-// once (at ensurePristine), and a fresh-machine cell resets zero times.
-func TestSnapshotHitResetsOnce(t *testing.T) {
-	pool := NewMachinePool()
-	defer pool.Close()
-	wm := &workerMachines{pool: pool, w: 0}
-	sa := snapshots.New()
-	c := Cell{Workload: "add", Threads: 2, Seed: 1, Mk: func() Workload { return &snapWorkload{addWorkload{ops: 8}} }}
-
-	// resetsDuring runs c and returns how many ResetSeeds the cell's pooled
-	// machine performed, peeking at the machine via an acquire before and
-	// after the cell.
-	resetsDuring := func(c Cell, sa *snapshots.Arena) (uint64, Result) {
-		m, _ := wm.acquire(c)
-		before := m.ResetCount()
-		r := runCell(c, wm, nil, sa, nil, nil)
-		if r.Err != "" {
-			t.Fatalf("cell failed: %s", r.Err)
-		}
-		m2, reused := wm.acquire(c)
-		if !reused || m2 != m {
-			t.Fatal("machine changed identity mid-test")
-		}
-		after := m2.ResetCount()
-		return after - before, r
-	}
-
-	// First run of the cell: the peek above pre-built the machine, so the
-	// cell sees a reused machine and a snapshot miss — one reset before
-	// Setup, then capture.
-	missResets, r1 := resetsDuring(c, sa)
-	if missResets != 1 {
-		t.Fatalf("snapshot-miss cell on reused machine reset %d times, want 1", missResets)
-	}
-	if st := sa.Stats(); st.Misses != 1 || st.Hits != 0 {
-		t.Fatalf("first cell arena stats = %+v, want 1 miss", st)
-	}
-
-	// Same cell again: machine-pool hit AND snapshot hit. Exactly one reset
-	// — the one inside Restore. Before the fix this path reset twice (once
-	// at acquire, once in Restore).
-	hitResets, r2 := resetsDuring(c, sa)
-	if hitResets != 1 {
-		t.Fatalf("snapshot-hit cell reset %d times, want exactly 1 (inside Restore)", hitResets)
-	}
-	if st := sa.Stats(); st.Hits != 1 {
-		t.Fatalf("second cell arena stats = %+v, want 1 hit", st)
-	}
-	if r1.Stats != r2.Stats || r1.Digest != r2.Digest {
-		t.Fatal("snapshot-hit cell produced different results than the miss cell")
-	}
-
-	// Control: the no-snapshot path on a reused machine resets once too.
-	noSnapResets, r3 := resetsDuring(c, nil)
-	if noSnapResets != 1 {
-		t.Fatalf("no-snapshot cell on reused machine reset %d times, want 1", noSnapResets)
-	}
-	if r3.Stats != r1.Stats || r3.Digest != r1.Digest {
-		t.Fatal("no-snapshot cell produced different results")
-	}
-
-	// Control: a cell on a freshly built machine needs no reset at all.
-	fresh := NewMachinePool()
-	defer fresh.Close()
-	wmf := &workerMachines{pool: fresh, w: 0}
-	if r := runCell(c, wmf, nil, nil, nil, nil); r.Err != "" {
-		t.Fatalf("fresh-machine cell failed: %s", r.Err)
-	}
-	m, _ := wmf.acquire(c)
-	if got := m.ResetCount(); got != 0 {
-		t.Fatalf("fresh-machine cell reset %d times, want 0", got)
-	}
-}
-
-// TestMachinePoolSharedAcrossRuns is the cross-sweep pooling guarantee: two
-// engine runs handed the same external MachinePool build machines only in
-// the first — the second run's cells all land on Reset-reused machines and
-// produce identical results.
-func TestMachinePoolSharedAcrossRuns(t *testing.T) {
-	cells := testMatrix().Cells()
-	pool := NewMachinePool()
-	defer pool.Close()
-	run := func() (Results, *RunMetrics) {
-		rm := &RunMetrics{}
-		eng := Engine{Workers: 1, Machines: pool, Metrics: rm}
-		rs, err := eng.Run(cells)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rs.FirstErr(); err != nil {
-			t.Fatal(err)
-		}
-		return rs, rm
-	}
-	r1, m1 := run()
-	if m1.MachinesBuilt == 0 {
-		t.Fatal("first run built no machines")
-	}
-	if pool.Len() == 0 {
-		t.Fatal("pool did not survive the first run")
-	}
-	r2, m2 := run()
-	if m2.MachinesBuilt != 0 {
-		t.Fatalf("second run built %d machines, want 0 (cross-run pool hit)", m2.MachinesBuilt)
-	}
-	if m2.MachineReuses != int64(len(cells)) {
-		t.Fatalf("second run reused %d machines, want %d", m2.MachineReuses, len(cells))
-	}
-	for i := range r1 {
-		if r1[i].Stats != r2[i].Stats || r1[i].Digest != r2[i].Digest {
-			t.Errorf("cell %d differs between pool-cold and pool-warm runs", i)
-		}
-	}
-	// Close is the owner's release: it empties the pool.
-	pool.Close()
-	if n := pool.Len(); n != 0 {
-		t.Fatalf("pool holds %d machines after Close, want 0", n)
 	}
 }
 

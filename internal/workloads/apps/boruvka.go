@@ -124,60 +124,9 @@ func (b *Boruvka) Setup(m *commtm.Machine) {
 	b.inMST = make([]bool, e)
 }
 
-// boruvkaHost is the snapshot host state: the graph, Kruskal reference, and
-// base addresses are immutable; every round structure (union-find mirror,
-// active/chosen/dead/inMST, round counters) is run-mutable and rebuilt per
-// adopt, exactly as Setup's tail builds them.
-type boruvkaHost struct {
-	threads    int
-	oput       commtm.LabelID
-	min        commtm.LabelID
-	max        commtm.LabelID
-	add        commtm.LabelID
-	g          *graphgen.Graph
-	parentA    commtm.Addr
-	minEdgeA   commtm.Addr
-	markA      commtm.Addr
-	weightA    commtm.Addr
-	wantWeight uint64
-	wantEdges  int
-}
-
-// SnapshotParams implements snapshots.Snapshotter.
-func (b *Boruvka) SnapshotParams() (string, bool) {
+// Params implements sweep.Parameterized.
+func (b *Boruvka) Params() (string, bool) {
 	return fmt.Sprintf("w=%d h=%d keep=%g wseed=%d", b.W, b.H, b.Keep, b.Seed), true
-}
-
-// SnapshotHost implements snapshots.Snapshotter.
-func (b *Boruvka) SnapshotHost() any {
-	return boruvkaHost{
-		threads: b.threads, oput: b.oput, min: b.min, max: b.max, add: b.add,
-		g: b.g, parentA: b.parentA, minEdgeA: b.minEdgeA, markA: b.markA,
-		weightA: b.weightA, wantWeight: b.wantWeight, wantEdges: b.wantEdges,
-	}
-}
-
-// AdoptHost implements snapshots.Snapshotter.
-func (b *Boruvka) AdoptHost(_ *commtm.Machine, host any) {
-	h := host.(boruvkaHost)
-	b.threads, b.oput, b.min, b.max, b.add = h.threads, h.oput, h.min, h.max, h.add
-	b.g, b.parentA, b.minEdgeA, b.markA, b.weightA = h.g, h.parentA, h.minEdgeA, h.markA, h.weightA
-	b.wantWeight, b.wantEdges = h.wantWeight, h.wantEdges
-
-	v, e := b.g.V, len(b.g.Edges)
-	b.uf = make([]int, v)
-	for i := range b.uf {
-		b.uf[i] = i
-	}
-	b.active = make([]int, v)
-	for i := range b.active {
-		b.active[i] = i
-	}
-	b.chosen = make([]uint64, v)
-	b.dead = make([]bool, e)
-	b.inMST = make([]bool, e)
-	b.done = false
-	b.rounds = 0
 }
 
 func (b *Boruvka) find(x int) int {

@@ -105,44 +105,9 @@ func (g *Genome) Setup(m *commtm.Machine) {
 	g.drawn, g.present, g.uniques = in.drawn, in.present, in.uniques
 }
 
-// genomeHost is the snapshot host state: the drawn segments and presence
-// reference are immutable generated input; the hash table's identity is
-// captured as a hashtab.Image and re-adopted onto the restored machine
-// (grows/capacity credits happen only during runs, so the post-Setup image
-// is complete).
-type genomeHost struct {
-	threads   int
-	add       commtm.LabelID
-	positions int
-	drawn     [][]int
-	present   []bool
-	uniques   int
-	linkA     commtm.Addr
-	tb        hashtab.Image
-}
-
-// SnapshotParams implements snapshots.Snapshotter.
-func (g *Genome) SnapshotParams() (string, bool) {
+// Params implements sweep.Parameterized.
+func (g *Genome) Params() (string, bool) {
 	return fmt.Sprintf("g=%d s=%d n=%d wseed=%d", g.GeneLen, g.SegLen, g.NSegs, g.Seed), true
-}
-
-// SnapshotHost implements snapshots.Snapshotter.
-func (g *Genome) SnapshotHost() any {
-	return genomeHost{
-		threads: g.threads, add: g.add, positions: g.positions,
-		drawn: g.drawn, present: g.present, uniques: g.uniques,
-		linkA: g.linkA, tb: g.tb.Image(),
-	}
-}
-
-// AdoptHost implements snapshots.Snapshotter.
-func (g *Genome) AdoptHost(m *commtm.Machine, host any) {
-	h := host.(genomeHost)
-	g.m = m
-	g.threads, g.add, g.positions = h.threads, h.add, h.positions
-	g.drawn, g.present, g.uniques = h.drawn, h.present, h.uniques
-	g.linkA = h.linkA
-	g.tb = hashtab.Adopt(m, g.add, h.tb)
 }
 
 // Body implements harness.Workload.

@@ -152,49 +152,9 @@ func (km *KMeans) Setup(m *commtm.Machine) {
 	}
 }
 
-// kmeansHost is the snapshot host state: the point cloud and reference
-// centroids are immutable generated input; the addresses are immutable
-// scalars (sumsA is only read during runs). Nothing is run-mutable.
-type kmeansHost struct {
-	threads   int
-	add       commtm.LabelID
-	pts       []uint64
-	wantCents []uint64
-	ptsA      commtm.Addr
-	centA     commtm.Addr
-	sumsA     []commtm.Addr
-}
-
-// SnapshotParams implements snapshots.Snapshotter.
-func (km *KMeans) SnapshotParams() (string, bool) {
+// Params implements sweep.Parameterized.
+func (km *KMeans) Params() (string, bool) {
 	return fmt.Sprintf("p=%d d=%d k=%d it=%d wseed=%d", km.Points, km.Dims, km.K, km.Iters, km.Seed), true
-}
-
-// SnapshotHost implements snapshots.Snapshotter.
-func (km *KMeans) SnapshotHost() any {
-	return kmeansHost{
-		threads: km.threads, add: km.add, pts: km.pts, wantCents: km.wantCents,
-		ptsA: km.ptsA, centA: km.centA, sumsA: km.sumsA,
-	}
-}
-
-// AdoptHost implements snapshots.Snapshotter.
-func (km *KMeans) AdoptHost(_ *commtm.Machine, host any) {
-	h := host.(kmeansHost)
-	km.threads, km.add, km.pts, km.wantCents = h.threads, h.add, h.pts, h.wantCents
-	km.ptsA, km.centA, km.sumsA = h.ptsA, h.centA, h.sumsA
-}
-
-// SnapshotThreadInvariant implements snapshots.ThreadInvariant: Setup's
-// machine writes (point cloud, seed centroids, accumulator allocations) are
-// sized by Points/Dims/K only — the thread count shapes nothing but Body's
-// point partitioning, which AdoptBaseHost recomputes.
-func (km *KMeans) SnapshotThreadInvariant() bool { return true }
-
-// AdoptBaseHost implements snapshots.ThreadInvariant.
-func (km *KMeans) AdoptBaseHost(m *commtm.Machine, host any) {
-	km.AdoptHost(m, host)
-	km.threads = m.Config().Threads
 }
 
 // Body implements harness.Workload.

@@ -81,49 +81,10 @@ func (s *SSCA2) Setup(m *commtm.Machine) {
 	s.adjA = m.AllocLines((s.g.V*8 + commtm.LineBytes - 1) / commtm.LineBytes)
 }
 
-// ssca2Host is the snapshot host state: the graph and reference degrees are
-// immutable generated input; the base addresses and label id are immutable
-// scalars. Nothing ssca2 holds host-side is run-mutable.
-type ssca2Host struct {
-	threads int
-	add     commtm.LabelID
-	g       *graphgen.Graph
-	wantDeg []int
-	degA    commtm.Addr
-	metaA   commtm.Addr
-	adjA    commtm.Addr
-}
-
-// SnapshotParams implements snapshots.Snapshotter. The workload-private
+// Params implements sweep.Parameterized. The workload-private
 // generation seed is a constructor parameter, so it is part of the key.
-func (s *SSCA2) SnapshotParams() (string, bool) {
+func (s *SSCA2) Params() (string, bool) {
 	return fmt.Sprintf("scale=%d edges=%d wseed=%d", s.Scale, s.Edges, s.Seed), true
-}
-
-// SnapshotHost implements snapshots.Snapshotter.
-func (s *SSCA2) SnapshotHost() any {
-	return ssca2Host{
-		threads: s.threads, add: s.add, g: s.g, wantDeg: s.wantDeg,
-		degA: s.degA, metaA: s.metaA, adjA: s.adjA,
-	}
-}
-
-// AdoptHost implements snapshots.Snapshotter.
-func (s *SSCA2) AdoptHost(_ *commtm.Machine, host any) {
-	h := host.(ssca2Host)
-	s.threads, s.add, s.g, s.wantDeg = h.threads, h.add, h.g, h.wantDeg
-	s.degA, s.metaA, s.adjA = h.degA, h.metaA, h.adjA
-}
-
-// SnapshotThreadInvariant implements snapshots.ThreadInvariant: Setup's
-// allocations are sized by V alone and it writes no memory, so the installed
-// state is identical at every thread count.
-func (s *SSCA2) SnapshotThreadInvariant() bool { return true }
-
-// AdoptBaseHost implements snapshots.ThreadInvariant.
-func (s *SSCA2) AdoptBaseHost(m *commtm.Machine, host any) {
-	s.AdoptHost(m, host)
-	s.threads = m.Config().Threads
 }
 
 // Body implements harness.Workload.

@@ -131,46 +131,12 @@ func (vc *Vacation) seedInsert(m *commtm.Machine, tb *hashtab.Table, key, val ui
 	m.MemWrite64(tb.RemainAddr(), m.MemRead64(tb.RemainAddr())-1)
 }
 
-// vacationHost is the snapshot host state: the four tables' identities as
-// hashtab images (their contents live in the machine image). The per-thread
-// fresh-id cursors are run-mutable and rebuilt per adopt with Setup's rule.
-type vacationHost struct {
-	threads int
-	add     commtm.LabelID
-	tables  [3]hashtab.Image
-	custTb  hashtab.Image
-}
-
-// SnapshotParams implements snapshots.Snapshotter. All four size parameters
+// Params implements sweep.Parameterized. All four size parameters
 // shape Setup or the nextID partition, and the workload-private seed drives
 // the item streams.
-func (vc *Vacation) SnapshotParams() (string, bool) {
+func (vc *Vacation) Params() (string, bool) {
 	return fmt.Sprintf("r=%d c=%d t=%d q=%d wseed=%d",
 		vc.NItems, vc.NCustomers, vc.NTasks, vc.NQueries, vc.Seed), true
-}
-
-// SnapshotHost implements snapshots.Snapshotter.
-func (vc *Vacation) SnapshotHost() any {
-	h := vacationHost{threads: vc.threads, add: vc.add, custTb: vc.custTb.Image()}
-	for i, tb := range vc.tables {
-		h.tables[i] = tb.Image()
-	}
-	return h
-}
-
-// AdoptHost implements snapshots.Snapshotter.
-func (vc *Vacation) AdoptHost(m *commtm.Machine, host any) {
-	h := host.(vacationHost)
-	vc.m = m
-	vc.threads, vc.add = h.threads, h.add
-	for i := range vc.tables {
-		vc.tables[i] = hashtab.Adopt(m, vc.add, h.tables[i])
-	}
-	vc.custTb = hashtab.Adopt(m, vc.add, h.custTb)
-	vc.nextID = make([]int, vc.threads)
-	for th := range vc.nextID {
-		vc.nextID[th] = vc.NItems + 1 + th*vc.NTasks
-	}
 }
 
 // reserve queries NQueries random items in one table and reserves the

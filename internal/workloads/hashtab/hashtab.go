@@ -67,30 +67,6 @@ func New(m *commtm.Machine, add commtm.LabelID, nb, capacity int) *Table {
 // validating the bounded counter: remaining + live entries == CapacityTotal.
 func (tb *Table) CapacityTotal() uint64 { return tb.capTotal }
 
-// Image captures the table's host-side identity for machine-image
-// snapshots: the descriptor and counter addresses plus the capacity total
-// as of Setup (grows happen only during runs, so a post-Setup table has its
-// initial capacity and zero grows). The bucket array and nodes themselves
-// live in simulated memory and ride in the machine image.
-type Image struct {
-	Dsc, RemainA commtm.Addr
-	CapTotal     uint64
-}
-
-// Image returns the table's snapshot identity. Call only post-Setup,
-// pre-Run (a grown table's capTotal would not match a restored machine).
-func (tb *Table) Image() Image {
-	return Image{Dsc: tb.dsc, RemainA: tb.remainA, CapTotal: tb.capTotal}
-}
-
-// Adopt rebuilds a Table handle on machine m from a snapshot image,
-// replacing the New call of a skipped Setup. The add label must be the
-// restored machine's bounded-ADD label (label ids are part of the snapshot
-// host state).
-func Adopt(m *commtm.Machine, add commtm.LabelID, img Image) *Table {
-	return &Table{m: m, add: add, dsc: img.Dsc, remainA: img.RemainA, capTotal: img.CapTotal}
-}
-
 // LookupIn walks the chain for key inside the caller's transaction,
 // returning the node address ({key, value, next} words) or 0. Composes
 // multi-step operations (query-then-reserve) into one transaction.

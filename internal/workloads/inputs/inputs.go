@@ -19,8 +19,8 @@
 //
 // The arena is a thin typed wrapper over the generic keyed-singleflight
 // core in internal/arena; the caching machinery itself (singleflight, panic
-// unpublish, exactly-one-outcome stats) lives there, shared with the
-// snapshot arena and the sweep machine pool. This package contributes only
+// unpublish, exactly-one-outcome stats) lives there, shared with the sweep
+// engine's result memo. This package contributes only
 // the key/value types. The arena is unbounded for the life of its owner and
 // never releases a value, so cached inputs need no close policy.
 package inputs

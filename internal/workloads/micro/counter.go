@@ -37,38 +37,9 @@ func (c *Counter) Setup(m *commtm.Machine) {
 	c.ctr = m.AllocLines(1)
 }
 
-// counterHost is the snapshot host state: everything Setup computes is an
-// immutable scalar, so the whole set is shareable.
-type counterHost struct {
-	threads int
-	add     commtm.LabelID
-	ctr     commtm.Addr
-}
-
-// SnapshotParams implements snapshots.Snapshotter.
-func (c *Counter) SnapshotParams() (string, bool) {
+// Params implements sweep.Parameterized.
+func (c *Counter) Params() (string, bool) {
 	return fmt.Sprintf("ops=%d", c.Ops), true
-}
-
-// SnapshotHost implements snapshots.Snapshotter.
-func (c *Counter) SnapshotHost() any {
-	return counterHost{threads: c.threads, add: c.add, ctr: c.ctr}
-}
-
-// AdoptHost implements snapshots.Snapshotter.
-func (c *Counter) AdoptHost(_ *commtm.Machine, host any) {
-	h := host.(counterHost)
-	c.threads, c.add, c.ctr = h.threads, h.add, h.ctr
-}
-
-// SnapshotThreadInvariant implements snapshots.ThreadInvariant: Setup is one
-// label and one line allocation regardless of geometry.
-func (c *Counter) SnapshotThreadInvariant() bool { return true }
-
-// AdoptBaseHost implements snapshots.ThreadInvariant.
-func (c *Counter) AdoptBaseHost(m *commtm.Machine, host any) {
-	c.AdoptHost(m, host)
-	c.threads = m.Config().Threads
 }
 
 // Body implements harness.Workload.

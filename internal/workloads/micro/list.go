@@ -143,50 +143,11 @@ func (l *List) Setup(m *commtm.Machine) {
 	}
 }
 
-// listHost is the snapshot host state: descriptor/pool addresses, the label,
-// the Prime value Setup derived, and the cached decision streams (immutable
-// input-arena data, possibly nil). Pool cursors and the enqueued/dequeued
-// output multisets are run-mutable and rebuilt per adopt. commtmMode is
-// deliberately absent: images are shared across protocol variants, so the
-// adopting instance re-derives it from its own machine's configuration.
-type listHost struct {
-	threads int
-	prime   int
-	label   commtm.LabelID
-	deqOps  [][]bool
-	dsc     commtm.Addr
-	headA   commtm.Addr
-	tailA   commtm.Addr
-	pools   []commtm.Addr
-}
-
-// SnapshotParams implements snapshots.Snapshotter. Prime is included as the
+// Params implements sweep.Parameterized. Prime is included as the
 // constructor-set value (-1 = auto-scale): Setup derives the effective
 // priming from it deterministically.
-func (l *List) SnapshotParams() (string, bool) {
+func (l *List) Params() (string, bool) {
 	return fmt.Sprintf("ops=%d deq=%g prime=%d", l.Ops, l.DeqFrac, l.Prime), true
-}
-
-// SnapshotHost implements snapshots.Snapshotter.
-func (l *List) SnapshotHost() any {
-	return listHost{
-		threads: l.threads, prime: l.Prime,
-		label: l.label, deqOps: l.deqOps,
-		dsc: l.dsc, headA: l.headA, tailA: l.tailA, pools: l.pools,
-	}
-}
-
-// AdoptHost implements snapshots.Snapshotter.
-func (l *List) AdoptHost(m *commtm.Machine, host any) {
-	h := host.(listHost)
-	l.threads, l.Prime = h.threads, h.prime
-	l.commtmMode = m.Config().Protocol == commtm.CommTM
-	l.label, l.deqOps = h.label, h.deqOps
-	l.dsc, l.headA, l.tailA, l.pools = h.dsc, h.headA, h.tailA, h.pools
-	l.poolOff = make([]int, l.threads)
-	l.enqueued = make([][]uint64, l.threads)
-	l.dequeued = make([][]uint64, l.threads)
-	l.failedDeq = make([]int, l.threads)
 }
 
 // nodeAddr reserves the next node slot for this thread. Called outside the

@@ -54,15 +54,9 @@ func (o *OPut) Setup(m *commtm.Machine) {
 	o.oput = m.DefineLabel(commtm.OPutLabel("OPUT"))
 	o.pair = m.AllocLines(1)
 	m.MemWrite64(o.pair, ^uint64(0)) // identity key
-	o.adoptInputs(m.Config().Seed)
-}
-
-// adoptInputs installs the host-side op streams for the current o.threads:
-// the cached per-thread key streams when an input arena is wired, or fresh
-// live-draw minima otherwise. Machine state is untouched — this is the
-// geometry-dependent half of Setup, re-run by AdoptBaseHost at the adopting
-// machine's own thread count.
-func (o *OPut) adoptInputs(seed uint64) {
+	// Host-side op streams: the cached per-thread key streams when an input
+	// arena is wired, or fresh live-draw minima otherwise.
+	seed := m.Config().Seed
 	if o.inputs != nil {
 		in := inputs.Load(o.inputs,
 			inputs.Key{Kind: OPutName, Params: fmt.Sprintf("ops=%d t=%d", o.Ops, o.threads), Seed: seed},
@@ -92,61 +86,9 @@ func (o *OPut) adoptInputs(seed uint64) {
 	}
 }
 
-// oputHost is the snapshot host state. keys (and, with them, mins) come
-// from the immutable cached input when the snapshotting Setup replayed one;
-// on the live-draw path mins is run-mutable and must be rebuilt per adopt.
-type oputHost struct {
-	threads int
-	oput    commtm.LabelID
-	pair    commtm.Addr
-	keys    [][]uint64
-	mins    []uint64 // valid (and immutable) only when keys != nil
-}
-
-// SnapshotParams implements snapshots.Snapshotter.
-func (o *OPut) SnapshotParams() (string, bool) {
+// Params implements sweep.Parameterized.
+func (o *OPut) Params() (string, bool) {
 	return fmt.Sprintf("ops=%d", o.Ops), true
-}
-
-// SnapshotHost implements snapshots.Snapshotter.
-func (o *OPut) SnapshotHost() any {
-	h := oputHost{threads: o.threads, oput: o.oput, pair: o.pair, keys: o.keys}
-	if o.keys != nil {
-		h.mins = o.mins // cached-input reference data, never mutated
-	}
-	return h
-}
-
-// AdoptHost implements snapshots.Snapshotter.
-func (o *OPut) AdoptHost(_ *commtm.Machine, host any) {
-	h := host.(oputHost)
-	o.threads, o.oput, o.pair, o.keys = h.threads, h.oput, h.pair, h.keys
-	if h.keys != nil {
-		o.mins = h.mins
-		return
-	}
-	o.mins = make([]uint64, o.threads)
-	for i := range o.mins {
-		o.mins[i] = ^uint64(0)
-	}
-}
-
-// SnapshotThreadInvariant implements snapshots.ThreadInvariant: Setup's
-// machine half (label, one line, the identity-key write) is geometry-free;
-// the per-thread key streams are host state, regenerated per geometry by
-// AdoptBaseHost.
-func (o *OPut) SnapshotThreadInvariant() bool { return true }
-
-// AdoptBaseHost implements snapshots.ThreadInvariant. The base host carries
-// the capturing geometry's key streams, which are useless here; only the
-// machine scalars are adopted, and the input path re-runs at this machine's
-// own thread count (cache-hot in the input arena whenever this geometry ran
-// before).
-func (o *OPut) AdoptBaseHost(m *commtm.Machine, host any) {
-	h := host.(oputHost)
-	o.oput, o.pair = h.oput, h.pair
-	o.threads = m.Config().Threads
-	o.adoptInputs(m.Config().Seed)
 }
 
 // Body implements harness.Workload.

@@ -98,47 +98,9 @@ func (r *Refcount) Setup(m *commtm.Machine) {
 	}
 }
 
-// refcountHost is the snapshot host state: counter addresses and the label
-// are immutable; the cached decision streams (and with them the final held
-// counts Validate sums) are immutable input-arena data. On the live-draw
-// path held is run-mutable and rebuilt per adopt.
-type refcountHost struct {
-	threads int
-	add     commtm.LabelID
-	ctrs    []commtm.Addr
-	ops     [][]refcountOp
-	held    [][]int // valid (and immutable) only when ops != nil
-}
-
-// SnapshotParams implements snapshots.Snapshotter.
-func (r *Refcount) SnapshotParams() (string, bool) {
+// Params implements sweep.Parameterized.
+func (r *Refcount) Params() (string, bool) {
 	return fmt.Sprintf("ops=%d obj=%d", r.Ops, r.Objects), true
-}
-
-// SnapshotHost implements snapshots.Snapshotter.
-func (r *Refcount) SnapshotHost() any {
-	h := refcountHost{threads: r.threads, add: r.add, ctrs: r.ctrs, ops: r.ops}
-	if r.ops != nil {
-		h.held = r.held
-	}
-	return h
-}
-
-// AdoptHost implements snapshots.Snapshotter.
-func (r *Refcount) AdoptHost(_ *commtm.Machine, host any) {
-	h := host.(refcountHost)
-	r.threads, r.add, r.ctrs, r.ops = h.threads, h.add, h.ctrs, h.ops
-	if h.ops != nil {
-		r.held = h.held
-		return
-	}
-	r.held = make([][]int, r.threads)
-	for i := range r.held {
-		r.held[i] = make([]int, r.Objects)
-		for j := range r.held[i] {
-			r.held[i][j] = refStart
-		}
-	}
 }
 
 // genOps precomputes every thread's decision stream and final held counts,

@@ -101,47 +101,9 @@ func (tk *TopK) Setup(m *commtm.Machine) {
 	tk.replay = false
 }
 
-// topkHost is the snapshot host state: the label, descriptor address, and
-// per-thread arena block addresses are immutable after Setup; the replayed
-// insert streams are immutable input-arena data. Arena cursors are
-// run-mutable (insert consumes blocks) and rebuilt per adopt, as are the
-// live-draw inserted slices.
-type topkHost struct {
-	threads int
-	label   commtm.LabelID
-	dsc     commtm.Addr
-	arenas  [][]commtm.Addr
-	streams [][]uint64 // replayed insert streams; nil on the live-draw path
-}
-
-// SnapshotParams implements snapshots.Snapshotter.
-func (tk *TopK) SnapshotParams() (string, bool) {
+// Params implements sweep.Parameterized.
+func (tk *TopK) Params() (string, bool) {
 	return fmt.Sprintf("ops=%d k=%d", tk.Ops, tk.K), true
-}
-
-// SnapshotHost implements snapshots.Snapshotter.
-func (tk *TopK) SnapshotHost() any {
-	h := topkHost{threads: tk.threads, label: tk.label, dsc: tk.dsc, arenas: tk.arenas}
-	if tk.replay {
-		h.streams = tk.inserted
-	}
-	return h
-}
-
-// AdoptHost implements snapshots.Snapshotter. The TOPK label's reduction
-// closure captured in the image reads only tk.K of its owning instance,
-// which equals this instance's K (K is in the snapshot params), satisfying
-// the label-purity rule of the snapshot contract.
-func (tk *TopK) AdoptHost(_ *commtm.Machine, host any) {
-	h := host.(topkHost)
-	tk.threads, tk.label, tk.dsc, tk.arenas = h.threads, h.label, h.dsc, h.arenas
-	tk.arenaAt = make([]int, tk.threads)
-	if h.streams != nil {
-		tk.inserted, tk.replay = h.streams, true
-		return
-	}
-	tk.inserted = make([][]uint64, tk.threads)
-	tk.replay = false
 }
 
 // heap helpers over simulated memory through the thread API (transactional)

@@ -33,15 +33,6 @@ func (r *RNG) SeedDerived(seed, stream uint64) {
 	r.Uint64() // decorrelate adjacent streams
 }
 
-// State returns the generator's internal position. Together with Restore it
-// lets machine-image snapshots capture and reinstate PRNG streams exactly:
-// Restore(State()) round-trips to the same draw sequence.
-func (r *RNG) State() uint64 { return r.state }
-
-// Restore rewinds (or fast-forwards) the generator to a position previously
-// obtained from State.
-func (r *RNG) Restore(state uint64) { r.state = state }
-
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
