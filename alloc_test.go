@@ -19,8 +19,9 @@ import (
 )
 
 // TestResetIsAllocationFree asserts the core steady-state property of the
-// lifecycle: Reset itself never allocates — cache arrays are cleared in
-// place, store/directory pages are invalidated by generation stamp, PRNGs
+// lifecycle: Reset itself never allocates — the cache sets written since the
+// last Reset are cleared in place (the list of them keeps its capacity),
+// store/directory pages are invalidated by generation stamp, PRNGs
 // reseed in place. Any allocation here is a regression that reintroduces
 // per-cell GC pressure in sweep workers.
 func TestResetIsAllocationFree(t *testing.T) {

@@ -1,11 +1,14 @@
 package commtm_test
 
 import (
+	"fmt"
 	"testing"
 
+	"commtm"
 	"commtm/internal/experiments"
 	"commtm/internal/harness"
 	"commtm/internal/workloads/apps"
+	"commtm/internal/workloads/micro"
 )
 
 // Each benchmark regenerates one figure or table of the paper at a reduced
@@ -85,5 +88,26 @@ func BenchmarkVacationTxnCell(b *testing.B) {
 		if i == 0 {
 			b.ReportMetric(float64(st.Cycles), "sim-cycles")
 		}
+	}
+}
+
+// BenchmarkMachineResetSeed measures Machine.ResetSeed, the per-cell cost
+// of machine reuse, at 8 and 128 threads, each reset following a small
+// counter run that dirties the caches, store and directory as a short cell
+// does. The run is untimed but repeats before every reset and dominates the
+// benchmark's own wall time, so pick the iteration count (-benchtime=200x).
+func BenchmarkMachineResetSeed(b *testing.B) {
+	for _, threads := range []int{8, 128} {
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			m := commtm.New(commtm.Config{Threads: threads, Protocol: commtm.CommTM, Seed: 1})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runWorkload(m, micro.NewCounter(500))
+				b.StartTimer()
+				m.ResetSeed(uint64(i) + 2)
+			}
+		})
 	}
 }

@@ -166,15 +166,16 @@ func New(cfg Config) *Machine {
 }
 
 // Reset restores the machine to its pristine post-New(cfg) state without
-// freeing memory: cache arrays are cleared in place, backing-store and
-// directory pages are invalidated by generation stamp (zeroed lazily on
-// next touch, so Reset is O(pages touched), not O(capacity)), the label
-// registry, allocator, runtime, statistics, and every PRNG stream return to
-// their constructed state. A Reset machine replays any workload
-// bit-identically to a freshly built one — TestGoldenConformance runs the
-// golden matrix with reuse on and off to prove Reset leaks no state. Reset
-// is also safe after a run that panicked (the kernel drains its procs
-// before propagating).
+// freeing memory: the cache sets written since the last Reset are cleared in
+// place (O(sets written)), backing-store and directory pages are invalidated
+// by generation stamp (zeroed lazily on next touch, so Reset is O(pages
+// touched), not O(capacity)), the label registry, allocator, runtime,
+// statistics, and every PRNG stream return to their constructed state. A
+// Reset machine replays any workload bit-identically to a freshly built one
+// — TestGoldenConformance runs the golden matrix with reuse on and off, and
+// the cache package's TestResetMatchesNew checks the cleared arrays against
+// fresh ones. Reset is also safe after a run that panicked (the kernel
+// drains its procs before propagating).
 func (m *Machine) Reset() { m.ResetSeed(m.cfg.Seed) }
 
 // ResetSeed is Reset with a different PRNG seed: afterwards the machine is

@@ -80,12 +80,17 @@ func (l *LineMeta) ClearSpec() { l.SpecRead, l.SpecWritten, l.SpecLabeled = fals
 // LineMeta.Tag so the lookup scan touches one cache line per set instead of
 // striding across the full (data-carrying) LineMeta records; tags change
 // only inside Insert and Invalidate, which keep the mirror in sync.
+//
+// Insert is the only call that takes a set out of its all-zero state, so it
+// records each set it writes (touched, dirty) and Reset clears just those.
 type Cache struct {
 	lines   []LineMeta // nsets × ways
 	tags    []mem.Addr // tags[i] == lines[i].Tag, always
 	ways    int
 	setMask uint64
 	tick    uint64
+	touched []bool  // touched[s]: set s written since the last Reset or New
+	dirty   []int32 // the touched sets, capacity nsets so Insert never grows it
 }
 
 // New builds a cache of sizeBytes with the given associativity over 64-byte
@@ -108,17 +113,26 @@ func New(sizeBytes, ways int) *Cache {
 		tags:    make([]mem.Addr, lines),
 		ways:    ways,
 		setMask: uint64(nsets - 1),
+		touched: make([]bool, nsets),
+		dirty:   make([]int32, 0, nsets),
 	}
 }
 
-// Reset restores the cache to its pristine post-New state in place: every
-// way Invalid, the tag mirror and LRU clock zeroed, geometry and array
-// memory kept. The cleared arrays are bit-identical to freshly constructed
-// ones, so a Reset cache replays any access sequence exactly like a new one
-// — the property the machine-lifecycle golden gate checks.
+// Reset restores the cache to its pristine post-New state in place: the
+// ways and tags of every set written since the last Reset or New are
+// cleared, and the LRU clock zeroed; geometry and array memory are kept, and
+// the cost is O(sets written), not O(capacity). Sets never written are still
+// all zero, so the arrays are bit-identical to freshly constructed ones and
+// a Reset cache replays any access sequence exactly like a new one — the
+// property the machine-lifecycle golden gate checks.
 func (c *Cache) Reset() {
-	clear(c.lines)
-	clear(c.tags)
+	for _, s := range c.dirty {
+		base := int(s) * c.ways
+		clear(c.lines[base : base+c.ways])
+		clear(c.tags[base : base+c.ways])
+		c.touched[s] = false
+	}
+	c.dirty = c.dirty[:0]
 	c.tick = 0
 }
 
@@ -126,10 +140,11 @@ func (c *Cache) Reset() {
 func (c *Cache) Sets() int { return len(c.lines) / c.ways }
 func (c *Cache) Ways() int { return c.ways }
 
+// setIdx returns the index of la's set.
+func (c *Cache) setIdx(la mem.Addr) int { return int((uint64(la) / mem.LineBytes) & c.setMask) }
+
 // setBase returns the flat index of la's set's first way.
-func (c *Cache) setBase(la mem.Addr) int {
-	return int((uint64(la)/mem.LineBytes)&c.setMask) * c.ways
-}
+func (c *Cache) setBase(la mem.Addr) int { return c.setIdx(la) * c.ways }
 
 // Lookup returns the line holding la, or nil. It does not update LRU state;
 // callers that hit should call Touch.
@@ -152,31 +167,8 @@ func (c *Cache) Touch(l *LineMeta) {
 	l.lru = c.tick
 }
 
-// Victim selects the way that an insertion of la would replace: an invalid
-// way if any, else the least recently used among non-avoided ways. The
-// avoid predicate (may be nil) deprioritizes ways — e.g. U-state lines (the
-// paper reserves a way for non-U data so reduction handler misses never
-// force a reduction) or speculative lines (whose eviction aborts the
-// transaction). Avoided ways are chosen only when every way is avoided.
-func (c *Cache) Victim(la mem.Addr, avoid func(*LineMeta) bool) *LineMeta {
-	return &c.lines[c.victimIdx(la, avoid)]
-}
-
-// victimIdx returns the flat index of the way Victim would select.
-func (c *Cache) victimIdx(la mem.Addr, avoid func(*LineMeta) bool) int {
-	base := c.setBase(la)
-	set := c.lines[base : base+c.ways]
-	for i := range set {
-		if set[i].State == Invalid {
-			return base + i
-		}
-	}
-	return c.lruVictim(base, avoid)
-}
-
 // lruVictim picks the least recently used non-avoided way of a full set
-// (falling back to plain LRU when every way is avoided). Shared tail of
-// victimIdx and insertIdx.
+// (falling back to plain LRU when every way is avoided).
 func (c *Cache) lruVictim(base int, avoid func(*LineMeta) bool) int {
 	set := c.lines[base : base+c.ways]
 	best := -1
@@ -199,13 +191,15 @@ func (c *Cache) lruVictim(base int, avoid func(*LineMeta) bool) int {
 	return base + best
 }
 
-// insertIdx is victimIdx fused with the already-present invariant check:
-// the same pass that finds the first invalid way verifies la is absent, so
-// Insert no longer pays a separate defensive Lookup scan per fill. The
-// selection is identical to victimIdx's (first invalid way, else LRU among
-// non-avoided ways).
-func (c *Cache) insertIdx(la mem.Addr, avoid func(*LineMeta) bool) int {
-	base := c.setBase(la)
+// insertIdx selects the way that an insertion of la replaces: an invalid
+// way if any, else the least recently used among non-avoided ways. The
+// avoid predicate (may be nil) deprioritizes ways — e.g. U-state lines (the
+// paper reserves a way for non-U data so reduction handler misses never
+// force a reduction) or speculative lines (whose eviction aborts the
+// transaction). Avoided ways are chosen only when every way is avoided. The
+// tag scan also checks the invariant that la is absent, so Insert pays no
+// separate defensive Lookup per fill.
+func (c *Cache) insertIdx(base int, la mem.Addr, avoid func(*LineMeta) bool) int {
 	set := c.lines[base : base+c.ways]
 	tags := c.tags[base : base+c.ways]
 	// Dense tag scan first (the mirror exists so this loop never touches
@@ -224,10 +218,10 @@ func (c *Cache) insertIdx(la mem.Addr, avoid func(*LineMeta) bool) int {
 	return c.lruVictim(base, avoid)
 }
 
-// AvoidU is a Victim predicate that skips U-state lines.
+// AvoidU is an Insert avoid predicate that skips U-state lines.
 func AvoidU(l *LineMeta) bool { return l.State == ReducibleU }
 
-// AvoidSpec is a Victim predicate that skips lines in a transaction's
+// AvoidSpec is an Insert avoid predicate that skips lines in a transaction's
 // footprint (evicting them would abort the transaction).
 func AvoidSpec(l *LineMeta) bool { return l.SpecAny() }
 
@@ -242,7 +236,14 @@ func AvoidSpecOrU(l *LineMeta) bool { return l.SpecAny() || l.State == Reducible
 // retains it, keeping the path allocation-free). The caller is responsible
 // for protocol actions on the eviction.
 func (c *Cache) Insert(la mem.Addr, avoid func(*LineMeta) bool, evOut *LineMeta) (inserted *LineMeta, hadVictim bool) {
-	i := c.insertIdx(la, avoid)
+	s := c.setIdx(la)
+	i := c.insertIdx(s*c.ways, la, avoid)
+	// Mark the set before writing the way, so Reset clears it even after a
+	// run that panicked mid-fill.
+	if !c.touched[s] {
+		c.touched[s] = true
+		c.dirty = append(c.dirty, int32(s))
+	}
 	w := &c.lines[i]
 	if w.State != Invalid {
 		*evOut = *w
@@ -264,20 +265,4 @@ func (c *Cache) Invalidate(la mem.Addr) {
 			return
 		}
 	}
-}
-
-// ForEach calls fn for every valid line. fn must not insert or invalidate.
-func (c *Cache) ForEach(fn func(*LineMeta)) {
-	for i := range c.lines {
-		if c.lines[i].State != Invalid {
-			fn(&c.lines[i])
-		}
-	}
-}
-
-// CountValid returns the number of valid lines (test helper).
-func (c *Cache) CountValid() int {
-	n := 0
-	c.ForEach(func(*LineMeta) { n++ })
-	return n
 }

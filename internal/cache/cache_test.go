@@ -9,6 +9,28 @@ import (
 
 func la(i int) mem.Addr { return mem.Addr(i * mem.LineBytes) }
 
+// countValid returns the number of valid lines in c.
+func countValid(c *Cache) int {
+	n := 0
+	for i := range c.lines {
+		if c.lines[i].State != Invalid {
+			n++
+		}
+	}
+	return n
+}
+
+// wayOf returns the flat index in c's way array of l, a way of la's set.
+func wayOf(c *Cache, la mem.Addr, l *LineMeta) int {
+	base := c.setBase(la)
+	for i := base; i < base+c.ways; i++ {
+		if &c.lines[i] == l {
+			return i
+		}
+	}
+	return -1
+}
+
 func TestGeometry(t *testing.T) {
 	c := New(32*1024, 8) // L1: 64 sets
 	if c.Sets() != 64 || c.Ways() != 8 {
@@ -71,16 +93,30 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestVictimPrefersInvalid: a fill takes the first invalid way of its set
+// and evicts nothing, before LRU order or the avoid predicate is consulted
+// (here one that avoids exactly the invalid ways).
 func TestVictimPrefersInvalid(t *testing.T) {
-	c := New(4*mem.LineBytes, 4)
-	l, _ := c.Insert(la(0), nil, new(LineMeta))
-	l.State = Modified
-	v := c.Victim(la(5), nil)
-	if v.State != Invalid {
-		t.Fatal("Victim chose a valid way while invalid ways exist")
+	c := New(4*mem.LineBytes, 4) // 1 set, 4 ways
+	for i := 0; i < 4; i++ {
+		l, _ := c.Insert(la(i), nil, new(LineMeta))
+		l.State = Modified
+	}
+	c.Invalidate(la(3))
+	c.Invalidate(la(1))
+	avoidInvalid := func(l *LineMeta) bool { return l.State == Invalid }
+	l, evicted := c.Insert(la(5), avoidInvalid, new(LineMeta))
+	if evicted {
+		t.Fatal("Insert evicted a valid way while invalid ways exist")
+	}
+	if l != &c.lines[1] {
+		t.Fatalf("Insert filled way %d, want the first invalid way 1", wayOf(c, la(5), l))
 	}
 }
 
+// TestVictimAvoidsU: with an avoid predicate, a full set's victim is the LRU
+// way the predicate does not avoid; when it avoids every way, the victim is
+// the plain LRU way.
 func TestVictimAvoidsU(t *testing.T) {
 	c := New(4*mem.LineBytes, 4)
 	for i := 0; i < 4; i++ {
@@ -92,17 +128,18 @@ func TestVictimAvoidsU(t *testing.T) {
 			l.State = Shared
 		}
 	}
-	// Make the S line most-recently-used; avoidU must still pick it.
+	// Make the S line most-recently-used; AvoidU must still pick it.
 	c.Touch(c.Lookup(la(3)))
-	v := c.Victim(la(9), AvoidU)
-	if v.State != Shared {
-		t.Fatalf("avoidU victim state = %v, want S", v.State)
+	var ev LineMeta
+	l, evicted := c.Insert(la(9), AvoidU, &ev)
+	if !evicted || ev.State != Shared || ev.Tag != la(3) {
+		t.Fatalf("AvoidU evicted %v line %#x (evicted=%v), want S line %#x", ev.State, ev.Tag, evicted, la(3))
 	}
-	// With every way U, fall back to LRU among U lines.
-	c.Lookup(la(3)).State = ReducibleU
-	v = c.Victim(la(9), AvoidU)
-	if v.State != ReducibleU {
-		t.Fatal("all-U set must still yield a victim")
+	// With every way U, fall back to LRU among the U lines: line 0.
+	l.State, l.Label = ReducibleU, 0
+	_, evicted = c.Insert(la(10), AvoidU, &ev)
+	if !evicted || ev.State != ReducibleU || ev.Tag != la(0) {
+		t.Fatalf("all-U set evicted %v line %#x (evicted=%v), want U line %#x", ev.State, ev.Tag, evicted, la(0))
 	}
 }
 
@@ -160,7 +197,7 @@ func TestCacheInvariants(t *testing.T) {
 				return false
 			}
 		}
-		if c.CountValid() > 16 || c.CountValid() != len(live) {
+		if n := countValid(c); n > 16 || n != len(live) {
 			return false
 		}
 		for a := range live {

@@ -236,14 +236,6 @@ func (s *Store) ForEach(fn func(la Addr, l *Line)) {
 	}
 }
 
-// Addrs returns the base addresses of every materialized line in ascending
-// order, giving callers a canonical iteration order over the store.
-func (s *Store) Addrs() []Addr {
-	out := make([]Addr, 0, s.count)
-	s.ForEach(func(la Addr, _ *Line) { out = append(out, la) })
-	return out
-}
-
 func mustAligned(a Addr) {
 	if !IsWordAligned(a) {
 		panic(fmt.Sprintf("mem: unaligned word access at %#x", uint64(a)))

@@ -327,8 +327,9 @@ func New(p Params, store *mem.Store, arb Arbiter) *MemSys {
 
 // Reset restores the memory system to the state New(p with Seed=seed,
 // store, arb) would produce, without freeing cache arrays, directory pages,
-// or footprint slices. Every private cache is cleared in place, the label
-// registry emptied (workloads re-register on their next Setup), counters
+// or footprint slices. In every private cache the sets written since the
+// last Reset are cleared in place (cache.Cache.Reset), the label registry
+// emptied (workloads re-register on their next Setup), counters
 // zeroed, the microarchitectural RNG re-derived, and the directory epoch
 // bumped so stale pages — including their seen bits and busy horizons, which
 // Drain deliberately leaves behind — read as zero again. The backing store
